@@ -52,7 +52,6 @@ class Workload:
     m: int
     k: int
     month_span: int
-    threads: int
 
     def synth_args(self, seed: int, out: Path) -> list[str]:
         return ["synth", "--n", str(self.n), "--m", str(self.m), "--k", str(self.k),
@@ -60,17 +59,20 @@ class Workload:
                 "--out", str(out)]
 
     def compute_args(self, inp: Path, out: Path) -> list[str]:
+        # One thread on every workload: on a 2-core shared host the
+        # row-block thread pool made ``compute`` on ``deep`` slower and too
+        # unsteady to bound (see README.md).
         return ["compute", "--nodes", str(inp / "nodes.csv"),
                 "--edges", str(inp / "edges.csv"),
                 "--membership", str(inp / "membership.csv"),
-                "--out", str(out), "--threads", str(self.threads)]
+                "--out", str(out), "--threads", "1"]
 
 
 # Why each was chosen is in README.md.
 WORKLOADS = {
-    "reference": Workload(n=50_000, m=250_000, k=30, month_span=24, threads=1),
-    "deep": Workload(n=12_500, m=250_000, k=30, month_span=120, threads=1),
-    "wide": Workload(n=20_000, m=100_000, k=130, month_span=24, threads=1),
+    "reference": Workload(n=50_000, m=250_000, k=30, month_span=24),
+    "deep": Workload(n=12_500, m=250_000, k=30, month_span=120),
+    "wide": Workload(n=20_000, m=100_000, k=130, month_span=24),
 }
 
 END_TO_END = {"setup_s": "s", "compute_s": "s", "peak_rss_mb": "MiB"}
@@ -226,37 +228,35 @@ class Run:
         inp = self.dir / f"in{number}"
         log = self.dir / "child.log"
         computes = 1 if self.trace else COMPUTES
-        ops = 1 + computes + self.trace
-        self.attempted += ops
-        done = 0
         try:
+            self.attempted += 1
             if self.trace:
                 _, synth = traced(wl.synth_args(self.seed, inp),
                                   self.dir / f"synth{number}.json", log)
             else:
                 wall, _ = citeflow(wl.synth_args(self.seed, inp), log)
                 self.add("setup_s", wall)
-            done += 1
             self.keep_or_compare("inputs", inp)
             for i in range(computes):
                 out = self.dir / f"out{number}-{i}"
+                self.attempted += 1
                 wall, rss = citeflow(wl.compute_args(inp, out), log)
-                done += 1
                 self.add("compute_s", wall)
                 self.add("peak_rss_mb", rss)
                 self.keep_or_compare("outputs", out)
             if self.trace:
                 out = self.dir / f"traced{number}"
+                self.attempted += 1
                 wall, compute = traced(wl.compute_args(inp, out),
                                        self.dir / f"compute{number}.json", log)
-                done += 1
                 self.traced.append(wall)
                 self.spans.append({"synth": synth, "compute": compute})
                 for metric, value in layer_metrics(compute, synth, out).items():
                     self.add(metric, value)
                 self.keep_or_compare("outputs", out)
         except ChildFailed as exc:
-            self.failed += ops - done
+            # Only the child that failed; the rest of the round is not run.
+            self.failed += 1
             print(f"perfbench: {exc}", file=sys.stderr)
         if self.kept.get("inputs", (None,))[0] != inp:
             shutil.rmtree(inp, ignore_errors=True)

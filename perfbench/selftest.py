@@ -19,7 +19,7 @@ from pathlib import Path
 
 import run
 
-TINY = run.Workload(n=300, m=1500, k=5, month_span=24, threads=1)
+TINY = run.Workload(n=300, m=1500, k=5, month_span=24)
 
 
 def _alter_cell(path: Path) -> None:
