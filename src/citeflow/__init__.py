@@ -38,7 +38,6 @@ from .citegraph import (
 )
 from .dependence import (
     AUTO,
-    DependenceStack,
     FlowDecomposition,
     NormalizedCitationOperator,
     build_operator,
@@ -47,7 +46,6 @@ from .dependence import (
     flow_decomposition,
     propagate,
     source_dependence,
-    total_dependence,
 )
 from .refkit import (
     OracleGuardError,

@@ -20,6 +20,8 @@ import numpy as np
 from scipy import sparse
 
 UNCLASSIFIED = "__unclassified__"
+# Largest year magnitude whose month key (``PubTime.key``) fits in int64.
+MAX_YEAR = 2**63 // 12 - 1
 
 
 class CiteflowError(Exception):
@@ -115,6 +117,35 @@ class Membership:
         return np.asarray(self.weights.sum(axis=0)).ravel()
 
 
+def _csv_rows(path, header: tuple[str, ...]):
+    """Yield (line number, stripped fields) for each nonblank data row.
+
+    The line number is that of the row's last physical line, so it
+    stays right after a quoted field that spans lines.
+
+    Raises:
+        IngestError: wrong header, wrong field count, or a row the csv
+            module rejects (such as an overlong field).
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != list(header):
+                raise IngestError(f"{path}: expected header '{','.join(header)}'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise IngestError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} "
+                        f"fields, got {len(row)}"
+                    )
+                yield reader.line_num, [f.strip() for f in row]
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def parse_nodes(path) -> tuple[list[tuple[str, PubTime]], list[str]]:
     """Read the publication table.
 
@@ -122,79 +153,59 @@ def parse_nodes(path) -> tuple[list[tuple[str, PubTime]], list[str]]:
     in file order. A blank month defaults to January with a warning.
 
     Raises:
-        IngestError: bad header, duplicate id, non-integer year,
-            or month outside 1..12.
+        IngestError: bad header, duplicate id, non-integer year, year
+            beyond ``MAX_YEAR``, or month outside 1..12.
     """
     nodes: list[tuple[str, PubTime]] = []
     warnings: list[str] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "year", "month"]:
-            raise IngestError(f"{path}: expected header 'id,year,month'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise IngestError(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            node_id, year_s, month_s = (f.strip() for f in row)
-            if not node_id:
-                raise IngestError(f"{path}: line {lineno}: empty node id")
-            if node_id in seen:
-                raise IngestError(
-                    f"duplicate node id {node_id} (lines {seen[node_id]} and {lineno})"
-                )
+    for lineno, (node_id, year_s, month_s) in _csv_rows(path, ("id", "year", "month")):
+        if not node_id:
+            raise IngestError(f"{path}: line {lineno}: empty node id")
+        if node_id in seen:
+            raise IngestError(
+                f"duplicate node id {node_id} (lines {seen[node_id]} and {lineno})"
+            )
+        try:
+            year = int(year_s)
+        except ValueError:
+            raise IngestError(
+                f"{path}: line {lineno}: year {year_s!r} is not an integer"
+            ) from None
+        if abs(year) > MAX_YEAR:
+            raise IngestError(
+                f"{path}: line {lineno}: year {year} outside -{MAX_YEAR}..{MAX_YEAR}"
+            )
+        if not month_s:
+            month = 1
+            warnings.append(
+                f"node {node_id}: blank month defaults to 1 (line {lineno})"
+            )
+        else:
             try:
-                year = int(year_s)
+                month = int(month_s)
             except ValueError:
                 raise IngestError(
-                    f"{path}: line {lineno}: year {year_s!r} is not an integer"
+                    f"{path}: line {lineno}: month {month_s!r} is not an integer"
                 ) from None
-            if not month_s:
-                month = 1
-                warnings.append(
-                    f"node {node_id}: blank month defaults to 1 (line {lineno})"
+            if not 1 <= month <= 12:
+                raise IngestError(
+                    f"{path}: line {lineno}: month {month} outside 1..12"
                 )
-            else:
-                try:
-                    month = int(month_s)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: line {lineno}: month {month_s!r} is not an integer"
-                    ) from None
-                if not 1 <= month <= 12:
-                    raise IngestError(
-                        f"{path}: line {lineno}: month {month} outside 1..12"
-                    )
-            seen[node_id] = lineno
-            nodes.append((node_id, PubTime(year, month)))
+        seen[node_id] = lineno
+        nodes.append((node_id, PubTime(year, month)))
     return nodes, warnings
 
 
 def parse_edges(path) -> list[tuple[str, str]]:
     """Read the citation table as ordered (citing, cited) id pairs."""
     edges: list[tuple[str, str]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["citing", "cited"]:
-            raise IngestError(f"{path}: expected header 'citing,cited'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise IngestError(
-                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-                )
-            citing, cited = (f.strip() for f in row)
-            if not citing:
-                raise IngestError(f"missing citing id on line {lineno}")
-            if not cited:
-                raise IngestError(f"missing cited id on line {lineno}")
-            edges.append((citing, cited))
+    for lineno, (citing, cited) in _csv_rows(path, ("citing", "cited")):
+        if not citing:
+            raise IngestError(f"missing citing id on line {lineno}")
+        if not cited:
+            raise IngestError(f"missing cited id on line {lineno}")
+        edges.append((citing, cited))
     return edges
 
 
@@ -321,42 +332,31 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     label_pos: dict[str, int] = {}
     label_order: list[str] = []
     warnings: list[str] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "discipline", "weight"]:
-            raise IngestError(f"{path}: expected header 'id,discipline,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise IngestError(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            node_id, label, weight_s = (f.strip() for f in row)
-            if not node_id or not label:
-                raise IngestError(f"{path}: line {lineno}: empty id or discipline")
-            try:
-                weight = float(weight_s)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: line {lineno}: weight {weight_s!r} is not a number"
-                ) from None
-            if not weight > 0 or not math.isfinite(weight):
-                raise IngestError(
-                    f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
-                )
-            try:
-                idx = graph.id_index[node_id]
-            except KeyError:
-                raise IngestError(
-                    f"{path}: line {lineno}: membership references unknown id {node_id!r}"
-                ) from None
-            if label not in label_pos:
-                label_pos[label] = len(label_order)
-                label_order.append(label)
-            bucket = per_node.setdefault(idx, {})
-            bucket[label] = bucket.get(label, 0.0) + weight
+    header = ("id", "discipline", "weight")
+    for lineno, (node_id, label, weight_s) in _csv_rows(path, header):
+        if not node_id or not label:
+            raise IngestError(f"{path}: line {lineno}: empty id or discipline")
+        try:
+            weight = float(weight_s)
+        except ValueError:
+            raise IngestError(
+                f"{path}: line {lineno}: weight {weight_s!r} is not a number"
+            ) from None
+        if not weight > 0 or not math.isfinite(weight):
+            raise IngestError(
+                f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
+            )
+        try:
+            idx = graph.id_index[node_id]
+        except KeyError:
+            raise IngestError(
+                f"{path}: line {lineno}: membership references unknown id {node_id!r}"
+            ) from None
+        if label not in label_pos:
+            label_pos[label] = len(label_order)
+            label_order.append(label)
+        bucket = per_node.setdefault(idx, {})
+        bucket[label] = bucket.get(label, 0.0) + weight
 
     missing = [i for i in range(graph.n) if i not in per_node]
     if missing:

@@ -1,9 +1,8 @@
 """Command-line pipeline: validate inputs, compute artifacts, synthesize data.
 
 All outputs are plain files with stable formatting (numbers carry 12
-significant digits), so repeated runs and different thread counts
-produce byte-identical artifacts. Stage progress goes to stderr, one
-line per stage.
+significant digits), so repeated runs produce byte-identical
+artifacts. Stage progress goes to stderr, one line per stage.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class RunConfig:
     hi_pct: int = 90
     lo_pct: int = 10
     betweenness: str = "unweighted"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo_pct < self.hi_pct <= 100:
@@ -55,8 +53,6 @@ class RunConfig:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         if self.betweenness not in ("weighted", "unweighted"):
             raise ValueError(f"unknown betweenness mode {self.betweenness!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _log(msg: str) -> None:
@@ -193,15 +189,9 @@ def cmd_compute(config: RunConfig) -> int:
         f"warnings={len(report.warnings)}"
     )
     operator = dependence.build_operator(graph)
-    _log(f"operator: longest path {operator.order_bound}, threads {config.threads}")
-    stack = dependence.dependence_stack(
-        operator, membership, max_order=config.max_order, threads=config.threads
-    )
-    decomp = dependence.flow_decomposition(stack, membership)
-    r = dependence.dependence_vector(
-        operator, max_order=config.max_order, threads=config.threads
-    )
-    _log(f"dependence: {stack.order_count} orders beyond the identity")
+    _log(f"operator: longest path {operator.order_bound}")
+    decomp = dependence.flow_decomposition(operator, membership, config.max_order)
+    _log(f"dependence: {decomp.order_count} orders beyond the identity")
 
     flow = decomp.total
     contrib_l1 = analytics.order_contributions(decomp, analytics.ENTRYWISE_L1)
@@ -224,10 +214,20 @@ def cmd_compute(config: RunConfig) -> int:
         for member in group:
             community_of[member] = number
 
-    _write_rows(out_dir / "F.csv", _matrix_rows(labels, decomp.total))
-    _write_rows(out_dir / "F0.csv", _matrix_rows(labels, decomp.partial_flows[0]))
+    written: list[Path] = []
+
+    def write_rows(name: str, rows) -> None:
+        written.append(out_dir / name)
+        _write_rows(written[-1], rows)
+
+    def write_text(name: str, text: str) -> None:
+        written.append(out_dir / name)
+        written[-1].write_text(text, encoding="utf-8")
+
+    write_rows("F.csv", _matrix_rows(labels, decomp.total))
+    write_rows("F0.csv", _matrix_rows(labels, decomp.identity_flow))
     for i, order_flow in enumerate(decomp.order_flows, start=1):
-        _write_rows(out_dir / f"M_{i}.csv", _matrix_rows(labels, order_flow))
+        write_rows(f"M_{i}.csv", _matrix_rows(labels, order_flow))
     contrib_rows = [["order", "l1_norm", "l1_share", "frob_norm", "frob_share"]]
     for i in range(len(contrib_l1.norms)):
         contrib_rows.append(
@@ -239,11 +239,11 @@ def cmd_compute(config: RunConfig) -> int:
                 _fmt(contrib_fro.shares[i]),
             ]
         )
-    _write_rows(out_dir / "contributions.csv", contrib_rows)
-    _write_rows(out_dir / "E.csv", _matrix_rows(labels, norm.expected))
-    _write_rows(out_dir / "fhat.csv", _matrix_rows(labels, norm.normalized))
-    _write_rows(
-        out_dir / "summary.csv",
+    write_rows("contributions.csv", contrib_rows)
+    write_rows("E.csv", _matrix_rows(labels, norm.expected))
+    write_rows("fhat.csv", _matrix_rows(labels, norm.normalized))
+    write_rows(
+        "summary.csv",
         [["discipline", "size", "self_flow", "incoming_flow", "outgoing_flow"]]
         + [
             [labels[row.discipline], _fmt(row.size), _fmt(row.self_flow),
@@ -251,37 +251,33 @@ def cmd_compute(config: RunConfig) -> int:
             for row in summary
         ],
     )
-    _write_rows(
-        out_dir / "r.csv",
+    write_rows(
+        "r.csv",
         [["id", "dependence"]]
-        + [[graph.node_ids[i], _fmt(r[i])] for i in range(graph.n)],
+        + [[graph.node_ids[i], _fmt(decomp.r[i])] for i in range(graph.n)],
     )
-    _write_rows(
-        out_dir / "communities.csv",
+    write_rows(
+        "communities.csv",
         [["discipline", "community"]]
         + [[labels[v], str(community_of[v])] for v in range(membership.k)],
     )
-    _write_rows(
-        out_dir / "betweenness.csv",
+    write_rows(
+        "betweenness.csv",
         [["discipline", "betweenness"]]
         + [[labels[v], _fmt(betweenness[v])] for v in range(membership.k)],
     )
-    _write_rows(
-        out_dir / "rao.csv",
+    write_rows(
+        "rao.csv",
         [["discipline", "score"]]
         + [[labels[v], _fmt(rao.scores[v])] for v in range(membership.k)],
     )
-    (out_dir / "positive.dot").write_text(
-        _dot_text("positive", labels, positive, community_of), encoding="utf-8"
-    )
-    (out_dir / "negative.dot").write_text(
-        _dot_text("negative", labels, negative, community_of), encoding="utf-8"
-    )
+    write_text("positive.dot", _dot_text("positive", labels, positive, community_of))
+    write_text("negative.dot", _dot_text("negative", labels, negative, community_of))
     chosen = contrib_l1 if config.norm_kind == analytics.ENTRYWISE_L1 else contrib_fro
-    (out_dir / "contributions.svg").write_text(_svg_text(chosen), encoding="utf-8")
+    write_text("contributions.svg", _svg_text(chosen))
 
-    file_count = 14 + len(decomp.order_flows)
-    _log(f"wrote {file_count} files to {out_dir} in {time.perf_counter() - started:.2f}s")
+    elapsed = time.perf_counter() - started
+    _log(f"wrote {len(written)} files to {out_dir} in {elapsed:.2f}s")
     return 0
 
 
@@ -326,16 +322,20 @@ def _max_order_arg(value: str):
     return parsed
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
+def _check_threads(value: int | None) -> None:
+    """Validate ``--threads``, or else ``CITEFLOW_THREADS``.
+
+    The engine is single-threaded, so a valid value changes nothing;
+    a malformed one is still an input error.
+    """
     env = os.environ.get("CITEFLOW_THREADS")
-    if env:
+    if value is None and env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ValueError(f"CITEFLOW_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    if value is not None and value < 1:
+        raise ValueError("threads must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker count; falls back to CITEFLOW_THREADS, then CPU count",
+        help="accepted for compatibility; falls back to CITEFLOW_THREADS. The "
+        "engine is single-threaded, so the value changes neither results nor speed",
     )
 
     synth.add_argument("--n", required=True, type=int, help="node count")
@@ -396,6 +397,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args.nodes, args.edges, args.membership)
         if args.command == "compute":
+            _check_threads(args.threads)
             config = RunConfig(
                 nodes=args.nodes,
                 edges=args.edges,
@@ -406,7 +408,6 @@ def main(argv=None) -> int:
                 hi_pct=args.hi_pct,
                 lo_pct=args.lo_pct,
                 betweenness=args.betweenness,
-                threads=_resolve_threads(args.threads),
             )
             return cmd_compute(config)
         if args.command == "synth":

@@ -5,13 +5,13 @@ adjacency row-normalized by outdegree. On a DAG that operator is
 nilpotent, so the power series behind each quantity is a finite sum
 with at most ``longest_path_length`` + 1 terms, and iteration stops on
 an exactly zero increment rather than an epsilon test. The full n x n
-dependence matrix is never materialized; only n x k blocks flow
-through the iteration.
+dependence matrix is never materialized; one pass carries a dense
+n x (k+1) block through the iteration and keeps only its k x k
+projections and the dependence vector.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,128 +55,86 @@ def build_operator(graph: CitationGraph) -> NormalizedCitationOperator:
     )
 
 
-def _row_blocks(n: int, threads: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, n, threads + 1).astype(np.int64)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def propagate(operator: NormalizedCitationOperator, matrix, threads: int = 1):
+def propagate(operator: NormalizedCitationOperator, matrix):
     """Apply the operator to an n x k matrix (sparse or dense).
 
     Output row ``i`` is the outdegree-weighted mean of the input rows
     of the publications that ``i`` cites; sink rows come out zero.
     Each output row is one sequential accumulation over the cited
-    neighbours in index order, so results are bitwise identical for
-    any worker count.
+    neighbours in index order, so sparse and dense inputs give bitwise
+    identical values.
     """
     w = operator.matrix
     if matrix.shape[0] != w.shape[0]:
         raise ValueError(
             f"matrix has {matrix.shape[0]} rows, operator expects {w.shape[0]}"
         )
-    if threads <= 1:
-        out = w @ matrix
-    else:
-        blocks = _row_blocks(w.shape[0], threads)
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(lambda ab: w[ab[0] : ab[1], :] @ matrix, blocks))
-        if sparse.issparse(matrix):
-            out = sparse.vstack(parts, format="csr")
-        else:
-            out = np.vstack(parts)
+    out = w @ matrix
     if sparse.issparse(out):
         out = out.tocsr()
         out.sort_indices()
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DependenceStack:
-    """Operator powers applied to a start matrix, plus their partial sums.
+def _membership_matrix(membership, n: int) -> sparse.csr_matrix:
+    q = membership.weights if isinstance(membership, Membership) else membership
+    q = sparse.csr_matrix(q, dtype=np.float64)
+    if q.shape[0] != n:
+        raise ValueError(f"membership has {q.shape[0]} rows, operator expects {n}")
+    return q
 
-    ``increments[i]`` holds the contribution of citation paths of
-    length exactly ``i``; ``partial(i)`` the contribution of paths of
-    length up to ``i``. ``complete`` is set when the iteration ran far
-    enough that the next increment is exactly zero.
+
+def _order_limit(operator: NormalizedCitationOperator, max_order) -> int:
+    if max_order == AUTO:
+        return operator.order_bound
+    limit = int(max_order)
+    if limit < 0:
+        raise ValueError("max_order must be nonnegative")
+    return limit
+
+
+def _powers(operator: NormalizedCitationOperator, block: np.ndarray, limit: int):
+    """Yield ``block`` and its images under operator powers 1..``limit``.
+
+    Stops early, before yielding it, at the first exactly zero block,
+    which nilpotency guarantees within ``order_bound`` + 1 steps. No
+    earlier block is kept, so at most two are alive at once.
     """
-
-    increments: tuple[sparse.csr_matrix, ...]
-    order_count: int
-    complete: bool
-
-    def partial(self, i: int) -> np.ndarray:
-        """Dense partial sum of increments 0..i."""
-        if not 0 <= i <= self.order_count:
-            raise ValueError(f"order {i} outside 0..{self.order_count}")
-        acc = np.zeros(self.increments[0].shape, dtype=np.float64)
-        for inc in self.increments[: i + 1]:
-            coo = inc.tocoo()
-            acc[coo.row, coo.col] += coo.data
-        return acc
+    yield block
+    for _ in range(limit):
+        block = propagate(operator, block)
+        if not block.any():
+            return
+        yield block
 
 
 def dependence_stack(
-    operator: NormalizedCitationOperator,
-    membership,
-    max_order=AUTO,
-    threads: int = 1,
-) -> DependenceStack:
-    """Iterate the operator against the membership columns.
+    operator: NormalizedCitationOperator, membership, max_order=AUTO
+) -> np.ndarray:
+    """Dense n x k dependence of each publication on each discipline.
 
-    ``max_order`` AUTO runs to the longest path length; a numeric value
-    truncates earlier (order-limited analyses). Iteration always stops
-    early on an exactly zero increment, which nilpotency guarantees to
-    happen within ``order_bound`` + 1 steps.
+    Sums the membership columns over citation paths of length up to
+    ``max_order``; AUTO takes every path, which gives the total
+    dependence.
     """
-    start = membership.weights if isinstance(membership, Membership) else membership
-    if start.shape[0] != operator.n:
-        raise ValueError(
-            f"membership has {start.shape[0]} rows, operator expects {operator.n}"
-        )
-    if max_order == AUTO:
-        limit = operator.order_bound
-    else:
-        limit = int(max_order)
-        if limit < 0:
-            raise ValueError("max_order must be nonnegative")
-    current = sparse.csr_matrix(start, dtype=np.float64)
-    current.sort_indices()
-    increments = [current]
-    saw_zero = False
-    for _ in range(limit):
-        current = propagate(operator, current, threads=threads)
-        if current.nnz == 0:
-            saw_zero = True
-            break
-        increments.append(current)
-    order_count = len(increments) - 1
-    complete = saw_zero or order_count >= operator.order_bound
-    return DependenceStack(
-        increments=tuple(increments), order_count=order_count, complete=complete
-    )
-
-
-def total_dependence(stack: DependenceStack) -> np.ndarray:
-    """Dense total dependence of each publication on each discipline."""
-    if not stack.complete:
-        raise ValueError(
-            "stack was truncated; total dependence needs the complete iteration"
-        )
-    return stack.partial(stack.order_count)
+    q = _membership_matrix(membership, operator.n)
+    total = np.zeros(q.shape, dtype=np.float64)
+    for block in _powers(operator, q.toarray(), _order_limit(operator, max_order)):
+        total += block
+    return total
 
 
 def dependence_vector(
-    operator: NormalizedCitationOperator, max_order=AUTO, threads: int = 1
+    operator: NormalizedCitationOperator, max_order=AUTO
 ) -> np.ndarray:
     """Total dependence of each publication on the whole network.
 
-    Computed as the stack iteration with a single all-ones column. At
-    full order it satisfies r = (operator) r + 1, which is PageRank
-    with damping factor one and a unit exogenous vector.
+    The iteration run on a single all-ones column. At full order it
+    satisfies r = (operator) r + 1, which is PageRank with damping
+    factor one and a unit exogenous vector.
     """
-    ones = sparse.csr_matrix(np.ones((operator.n, 1), dtype=np.float64))
-    stack = dependence_stack(operator, ones, max_order=max_order, threads=threads)
-    return stack.partial(stack.order_count)[:, 0]
+    ones = np.ones((operator.n, 1), dtype=np.float64)
+    return dependence_stack(operator, ones, max_order)[:, 0]
 
 
 def source_dependence(operator: NormalizedCitationOperator, membership) -> np.ndarray:
@@ -186,13 +144,7 @@ def source_dependence(operator: NormalizedCitationOperator, membership) -> np.nd
     membership transpose and repeatedly right-multiply by the operator,
     summing until the increment vanishes.
     """
-    q = membership.weights if isinstance(membership, Membership) else membership
-    q = sparse.csr_matrix(q, dtype=np.float64)
-    if q.shape[0] != operator.n:
-        raise ValueError(
-            f"membership has {q.shape[0]} rows, operator expects {operator.n}"
-        )
-    increment = q.T.tocsr()
+    increment = _membership_matrix(membership, operator.n).T.tocsr()
     total = increment.toarray()
     w = operator.matrix
     for _ in range(operator.order_bound):
@@ -208,45 +160,56 @@ def source_dependence(operator: NormalizedCitationOperator, membership) -> np.nd
 class FlowDecomposition:
     """Discipline-to-discipline citation flow split by path length.
 
-    ``partial_flows[i]`` aggregates paths of length up to ``i``;
+    ``identity_flow`` (F0) is the flow of the length-zero paths;
     ``order_flows[i-1]`` is the flow carried by paths of length exactly
-    ``i``; ``total`` is the last partial flow.
+    ``i``; ``total`` (F) is their running sum. ``r`` is the dependence
+    vector over the same orders. ``complete`` is set when ``total`` and
+    ``r`` cover every path: the iteration stopped on an exactly zero
+    order or reached the longest path length.
     """
 
-    partial_flows: tuple[np.ndarray, ...]
+    identity_flow: np.ndarray
     order_flows: tuple[np.ndarray, ...]
     total: np.ndarray
+    r: np.ndarray
+    complete: bool
 
     @property
     def order_count(self) -> int:
         return len(self.order_flows)
 
 
-def flow_decomposition(stack: DependenceStack, membership) -> FlowDecomposition:
-    """Project a dependence stack onto discipline-by-discipline flows.
+def flow_decomposition(
+    operator: NormalizedCitationOperator, membership, max_order=AUTO
+) -> FlowDecomposition:
+    """Per-order flows, total flow and dependence vector in one iteration.
 
-    Each order flow is the membership-weighted aggregation of one
-    increment, so order flows are nonnegative by construction and the
-    partial flows are their running sums.
+    The iteration starts from the dense block ``[Q | 1]``: the
+    membership columns next to a unit column. Each order projects the
+    membership columns onto the k x k order flow (``Q^T`` times the
+    block) and adds the unit column into ``r``, then drops the block.
+    Order flows are nonnegative by construction. ``max_order`` AUTO
+    runs to the longest path length; a numeric value truncates earlier
+    (order-limited analyses).
     """
-    q = membership.weights if isinstance(membership, Membership) else membership
-    q = sparse.csr_matrix(q, dtype=np.float64)
-    if q.shape[0] != stack.increments[0].shape[0]:
-        raise ValueError("membership and stack come from different graphs")
+    q = _membership_matrix(membership, operator.n)
+    k = q.shape[1]
+    limit = _order_limit(operator, max_order)
+    unit = np.ones((operator.n, 1), dtype=np.float64)
     qt = q.T.tocsr()
-    partials: list[np.ndarray] = []
-    order_flows: list[np.ndarray] = []
-    running: np.ndarray | None = None
-    for i, inc in enumerate(stack.increments):
-        block = (qt @ inc).toarray()
-        if i == 0:
-            running = block
-        else:
-            order_flows.append(block)
-            running = running + block
-        partials.append(running)
+    flows: list[np.ndarray] = []
+    r = np.zeros(operator.n, dtype=np.float64)
+    for block in _powers(operator, np.hstack([q.toarray(), unit]), limit):
+        flows.append((qt @ block)[:, :k])
+        r += block[:, k]
+    total = flows[0]
+    for order_flow in flows[1:]:
+        total = total + order_flow
+    order_count = len(flows) - 1
     return FlowDecomposition(
-        partial_flows=tuple(partials),
-        order_flows=tuple(order_flows),
-        total=partials[-1],
+        identity_flow=flows[0],
+        order_flows=tuple(flows[1:]),
+        total=total,
+        r=r,
+        complete=order_count < limit or order_count >= operator.order_bound,
     )

@@ -30,7 +30,6 @@ from citeflow import (
     order_contributions,
     random_dag,
     rao_entropy,
-    total_dependence,
 )
 from citeflow.cli import main
 from conftest import (
@@ -62,11 +61,10 @@ def test_fix7_exactness(fix7_graph, fix7_membership):
     started = time.perf_counter()
     p = dense_dependence(fix7_graph)
     op = build_operator(fix7_graph)
-    stack = dependence_stack(op, fix7_membership)
-    decomp = flow_decomposition(stack, fix7_membership)
+    decomp = flow_decomposition(op, fix7_membership)
     norms = [matrix_norm(m) for m in decomp.order_flows]
     shares = order_contributions(decomp).shares
-    r = dependence_vector(op)
+    r = decomp.r
     elapsed = time.perf_counter() - started
 
     ok = (
@@ -98,7 +96,7 @@ def test_oracle_equivalence():
         graph, membership = random_dag(spec)
         assert graph.n <= 200 and graph.m <= 2000 and membership.k <= 8
         op = build_operator(graph)
-        total = total_dependence(dependence_stack(op, membership))
+        total = dependence_stack(op, membership)
         p = dense_dependence(graph)
         oracle_total = p @ membership.weights.toarray()
         max_iter_err = max(max_iter_err, float(np.abs(total - oracle_total).max()))
@@ -134,9 +132,9 @@ def test_decomposition_identity(big_graph):
     """Total flow norm splits exactly across the per-order norms at scale."""
     graph, membership = big_graph
     op = build_operator(graph)
-    decomp = flow_decomposition(dependence_stack(op, membership), membership)
+    decomp = flow_decomposition(op, membership)
     total_norm = matrix_norm(decomp.total)
-    split = matrix_norm(decomp.partial_flows[0]) + math.fsum(
+    split = matrix_norm(decomp.identity_flow) + math.fsum(
         matrix_norm(m) for m in decomp.order_flows
     )
     rel_err = abs(total_norm - split) / total_norm

@@ -18,7 +18,6 @@ from citeflow import (
     build_graph,
     build_operator,
     cosine_similarity,
-    dependence_stack,
     detect_communities,
     discipline_summary,
     exhaustive_modularity,
@@ -37,8 +36,7 @@ from conftest import FIX7_F, FIX7_M1, FIX7_SHARES
 
 @pytest.fixture
 def fix7_decomp(fix7_graph, fix7_membership):
-    stack = dependence_stack(build_operator(fix7_graph), fix7_membership)
-    return flow_decomposition(stack, fix7_membership)
+    return flow_decomposition(build_operator(fix7_graph), fix7_membership)
 
 
 def _clique(nodes, offset=0, weight=1.0):
@@ -79,7 +77,7 @@ class TestOrderContributions:
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((3, 1)))
-        decomp = flow_decomposition(dependence_stack(build_operator(graph), q), q)
+        decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.shares == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
@@ -88,7 +86,7 @@ class TestOrderContributions:
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((1, 1)))
-        decomp = flow_decomposition(dependence_stack(build_operator(graph), q), q)
+        decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.norms == ()
         assert contrib.shares == ()

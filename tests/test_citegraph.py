@@ -22,6 +22,7 @@ from citeflow import (
     random_dag,
     topological_order,
 )
+from citeflow.citegraph import MAX_YEAR
 from conftest import FIX7_LONGEST, FIX7_NODES
 
 
@@ -58,6 +59,20 @@ class TestParseNodes:
         path = _write(tmp_path, "n.csv", "id,year,month\np1,2016,13\n")
         with pytest.raises(IngestError, match="month"):
             parse_nodes(path)
+
+    def test_year_bound_keeps_month_key_in_int64(self, tmp_path):
+        rows = f"a,{MAX_YEAR},12\nb,{-MAX_YEAR},1\n"
+        nodes, _ = parse_nodes(_write(tmp_path, "n.csv", "id,year,month\n" + rows))
+        graph, _ = build_graph(nodes, [("a", "b")])
+        assert graph.m == 1
+        path = _write(tmp_path, "big.csv", f"id,year,month\na,{MAX_YEAR + 1},1\n")
+        with pytest.raises(IngestError, match="line 2: year"):
+            parse_nodes(path)
+
+    def test_line_number_counts_lines_inside_quoted_fields(self, tmp_path):
+        text = 'id,year,month\n"a\nb",2016,1\nc,2016,13\n'
+        with pytest.raises(IngestError, match="line 4: month"):
+            parse_nodes(_write(tmp_path, "n.csv", text))
 
     def test_bad_header_is_fatal(self, tmp_path):
         path = _write(tmp_path, "n.csv", "identifier,year,month\np1,2016,5\n")

@@ -124,6 +124,15 @@ class TestCompute:
         out = tmp_path / "env"
         assert _compute(fix7_files, out) == 0
 
+    @pytest.mark.parametrize(("extra", "files"), [((), 16), (("--max-order", "1"), 14)])
+    def test_logged_file_count_matches_out_dir(
+        self, fix7_files, tmp_path, capsys, extra, files
+    ):
+        out = tmp_path / "out"
+        assert _compute(fix7_files, out, *extra) == 0
+        assert len(list(out.iterdir())) == files
+        assert f"wrote {files} files" in capsys.readouterr().err
+
     def test_bad_percentiles_exit_2(self, fix7_files, tmp_path):
         code = _compute(fix7_files, tmp_path / "x", "--hi-pct", "10", "--lo-pct", "90")
         assert code == 2
@@ -137,6 +146,29 @@ class TestCompute:
         with pytest.raises(SystemExit) as err:
             _compute(fix7_files, tmp_path / "x", "--max-order", "0")
         assert err.value.code == 2
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with the line number and no traceback."""
+
+    @pytest.mark.parametrize(
+        ("index", "text"),
+        [
+            (0, "id,year,month\n1,2016," + "9" * 140_000 + "\n"),
+            (1, "citing,cited\n1," + "x" * 140_000 + "\n"),
+            (2, "id,discipline,weight\n1," + "X" * 140_000 + ",1\n"),
+            (0, "id,year,month\na,99999999999999999999,1\n"),
+        ],
+        ids=["long-month", "long-cited", "long-discipline", "year-beyond-int64"],
+    )
+    def test_exits_2_with_line_number(self, fix7_files, tmp_path, capsys, index, text):
+        files = list(fix7_files)
+        files[index] = tmp_path / "bad.csv"
+        files[index].write_text(text, encoding="utf-8")
+        assert _compute(files, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "Traceback" not in err
 
 
 class TestSynth:

@@ -21,7 +21,6 @@ from citeflow import (
     propagate,
     random_dag,
     source_dependence,
-    total_dependence,
 )
 from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR
 
@@ -77,66 +76,69 @@ class TestPropagate:
         with pytest.raises(ValueError, match="rows"):
             propagate(op, np.zeros((6, 2)))
 
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_threaded_results_are_bitwise_identical(self, threads):
+    def test_sparse_and_dense_inputs_agree_bitwise(self):
         graph, membership = random_dag(SynthSpec(n=300, target_m=900, k=5, seed=9))
         op = build_operator(graph)
-        base = propagate(op, membership.weights)
-        threaded = propagate(op, membership.weights, threads=threads)
-        assert (base != threaded).nnz == 0
-        assert base.toarray().tobytes() == threaded.toarray().tobytes()
-        dense = membership.weights.toarray()
-        assert (
-            propagate(op, dense).tobytes()
-            == propagate(op, dense, threads=threads).tobytes()
-        )
+        from_sparse = propagate(op, membership.weights).toarray()
+        from_dense = propagate(op, membership.weights.toarray())
+        assert from_sparse.tobytes() == from_dense.tobytes()
 
 
 class TestDependenceStack:
     def test_fix7_auto_order(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        stack = dependence_stack(op, fix7_membership)
-        assert stack.order_count == 3
-        assert stack.complete
+        decomp = flow_decomposition(op, fix7_membership)
+        assert decomp.order_count == 3
+        assert decomp.complete
         # the next application would be exactly the zero matrix
-        nxt = propagate(op, stack.increments[-1])
-        assert nxt.nnz == 0
+        last = fix7_membership.weights
+        for _ in range(decomp.order_count):
+            last = propagate(op, last)
+        assert last.nnz > 0
+        assert propagate(op, last).nnz == 0
 
     def test_edgeless_graph_stack_is_membership_only(self):
         graph, _ = build_graph(
             [("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))], []
         )
         q = sparse.csr_matrix(np.array([[1.0], [1.0]]))
-        stack = dependence_stack(build_operator(graph), q)
-        assert stack.order_count == 0
-        assert len(stack.increments) == 1
+        decomp = flow_decomposition(build_operator(graph), q)
+        assert decomp.order_count == 0
+        assert decomp.complete
+        assert decomp.identity_flow.tolist() == [[2.0]]
+        assert decomp.r.tolist() == [1.0, 1.0]
 
     def test_truncation_keeps_requested_orders(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        stack = dependence_stack(op, fix7_membership, max_order=1)
-        assert stack.order_count == 1
-        assert not stack.complete
-        with pytest.raises(ValueError, match="truncated"):
-            total_dependence(stack)
+        decomp = flow_decomposition(op, fix7_membership, max_order=1)
+        assert decomp.order_count == 1
+        assert not decomp.complete
+        assert decomp.r.tolist() == dependence_vector(op, max_order=1).tolist()
+        assert decomp.r[0] == 2.0  # itself, plus 0.5 through each paper it cites
 
     def test_numeric_order_beyond_bound_stops_on_zero(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        stack = dependence_stack(op, fix7_membership, max_order=10)
-        assert stack.order_count == 3
-        assert stack.complete
+        decomp = flow_decomposition(op, fix7_membership, max_order=10)
+        assert decomp.order_count == 3
+        assert decomp.complete
 
 
 class TestTotalDependence:
     def test_fix7_rows(self, fix7_graph, fix7_membership):
-        stack = dependence_stack(build_operator(fix7_graph), fix7_membership)
-        total = total_dependence(stack)
+        total = dependence_stack(build_operator(fix7_graph), fix7_membership)
         assert total[0].tolist() == [1.75, 1.25, 1.0]
         assert total[5].tolist() == [0.0, 0.0, 1.0]  # sink depends on itself only
         assert total[3].tolist() == [1.0, 0.0, 1.0]
 
+    def test_truncated_sum_covers_short_paths_only(self, fix7_graph, fix7_membership):
+        op = build_operator(fix7_graph)
+        q = fix7_membership.weights
+        partial = dependence_stack(op, fix7_membership, max_order=1)
+        assert np.array_equal(partial, q.toarray() + propagate(op, q).toarray())
+
     def test_row_sums_equal_dependence_vector(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        total = total_dependence(dependence_stack(op, fix7_membership))
+        total = dependence_stack(op, fix7_membership)
         r = dependence_vector(op)
         assert np.abs(total.sum(axis=1) - r).max() <= 1e-9
 
@@ -177,29 +179,35 @@ class TestSourceDependence:
     def test_times_membership_gives_total_flow(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
         s = source_dependence(op, fix7_membership)
-        flow = flow_decomposition(dependence_stack(op, fix7_membership), fix7_membership)
+        flow = flow_decomposition(op, fix7_membership)
         assert np.abs(s @ fix7_membership.weights.toarray() - flow.total).max() <= 1e-9
 
 
 class TestFlowDecomposition:
     def test_fix7_matrices(self, fix7_graph, fix7_membership):
-        stack = dependence_stack(build_operator(fix7_graph), fix7_membership)
-        decomp = flow_decomposition(stack, fix7_membership)
+        decomp = flow_decomposition(build_operator(fix7_graph), fix7_membership)
         assert decomp.total.tolist() == FIX7_F
-        assert decomp.partial_flows[0].tolist() == FIX7_F0
+        assert decomp.identity_flow.tolist() == FIX7_F0
         assert decomp.order_flows[0].tolist() == FIX7_M1
+        assert decomp.r.tolist() == list(FIX7_R_VECTOR)
 
     def test_partials_are_running_sums(self, fix7_graph, fix7_membership):
-        stack = dependence_stack(build_operator(fix7_graph), fix7_membership)
-        decomp = flow_decomposition(stack, fix7_membership)
-        acc = decomp.partial_flows[0]
-        for i, order_flow in enumerate(decomp.order_flows, start=1):
+        decomp = flow_decomposition(build_operator(fix7_graph), fix7_membership)
+        acc = decomp.identity_flow
+        for order_flow in decomp.order_flows:
             acc = acc + order_flow
-            assert np.array_equal(acc, decomp.partial_flows[i])
+        assert acc.tobytes() == decomp.total.tobytes()
+
+    def test_r_matches_separate_iteration_bitwise(self):
+        graph, membership = random_dag(SynthSpec(n=300, target_m=900, k=5, seed=9))
+        op = build_operator(graph)
+        for max_order in ("auto", 2):
+            decomp = flow_decomposition(op, membership, max_order)
+            r = dependence_vector(op, max_order)
+            assert decomp.r.tobytes() == r.tobytes()
 
     def test_order_flows_nonnegative(self, fix7_graph, fix7_membership):
-        stack = dependence_stack(build_operator(fix7_graph), fix7_membership)
-        decomp = flow_decomposition(stack, fix7_membership)
+        decomp = flow_decomposition(build_operator(fix7_graph), fix7_membership)
         for order_flow in decomp.order_flows:
             assert np.all(order_flow >= 0.0)
 
@@ -211,7 +219,7 @@ class TestOracleAgreement:
     def test_iterative_matches_dense_oracle(self, seed):
         graph, membership = random_dag(SynthSpec(n=150, target_m=450, k=6, seed=seed))
         op = build_operator(graph)
-        total = total_dependence(dependence_stack(op, membership))
+        total = dependence_stack(op, membership)
         oracle = dense_dependence(graph) @ membership.weights.toarray()
         assert np.abs(total - oracle).max() <= 1e-9
 
@@ -242,7 +250,7 @@ class TestOracleAgreement:
     def test_totals_identity(self, seed):
         graph, membership = random_dag(SynthSpec(n=150, target_m=450, k=6, seed=seed))
         op = build_operator(graph)
-        decomp = flow_decomposition(dependence_stack(op, membership), membership)
+        decomp = flow_decomposition(op, membership)
         flow_total = math.fsum(decomp.total.ravel())
         r_total = math.fsum(dependence_vector(op))
         assert abs(flow_total - r_total) <= 1e-9 * abs(r_total)
