@@ -28,6 +28,7 @@ from .citegraph import (
     IngestReport,
     InternalInvariantError,
     Membership,
+    NodeTable,
     PubTime,
     build_graph,
     longest_path_length,

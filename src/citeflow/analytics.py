@@ -26,9 +26,9 @@ def matrix_norm(matrix, kind: str = ENTRYWISE_L1) -> float:
     """Entrywise L1 norm (sum of absolute values) or Frobenius norm."""
     m = np.asarray(matrix, dtype=np.float64)
     if kind == ENTRYWISE_L1:
-        return math.fsum(abs(x) for x in m.ravel())
+        return math.fsum(np.abs(m).ravel().tolist())
     if kind == FROBENIUS:
-        return math.sqrt(math.fsum(x * x for x in m.ravel()))
+        return math.sqrt(math.fsum((m * m).ravel().tolist()))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -322,14 +322,12 @@ def rao_entropy(flow) -> RaoScores:
     for v in range(k):
         if zero[v]:
             continue
-        p = shares[:, v]
-        terms = (
-            p[u] * p[w] * distance[u, w]
-            for u in range(k)
-            for w in range(k)
-            if p[u] != 0.0 and p[w] != 0.0
-        )
-        scores[v] = min(math.fsum(terms), 1.0)
+        # The k^2 terms p_u * p_w * distance_uw over the support of p;
+        # fsum rounds exactly, so their order does not matter.
+        support = np.flatnonzero(shares[:, v] != 0.0)
+        p = shares[support, v]
+        terms = np.multiply.outer(p, p) * distance[np.ix_(support, support)]
+        scores[v] = min(math.fsum(terms.ravel().tolist()), 1.0)
     return RaoScores(shares=shares, scores=scores, zero_columns=zero)
 
 

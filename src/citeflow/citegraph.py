@@ -7,6 +7,10 @@ citations (citing publication not strictly newer than the cited one),
 which guarantees the stored graph is a DAG, collapses duplicate edges,
 and keeps the adjacency in CSR layout sorted by (citing, cited) so
 every downstream computation is reproducible byte for byte.
+
+The node and membership tables are read into columns and checked with
+array masks. Only when a check fails is the file read again row by
+row, to report the first bad row with its line number.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +29,9 @@ from scipy import sparse
 UNCLASSIFIED = "__unclassified__"
 # Largest year magnitude whose month key (``PubTime.key``) fits in int64.
 MAX_YEAR = 2**63 // 12 - 1
+NODE_HEADER = ("id", "year", "month")
+EDGE_HEADER = ("citing", "cited")
+MEMBERSHIP_HEADER = ("id", "discipline", "weight")
 
 
 class CiteflowError(Exception):
@@ -34,6 +44,23 @@ class IngestError(CiteflowError):
 
 class InternalInvariantError(CiteflowError):
     """A structural guarantee failed; indicates a bug, not bad input."""
+
+
+class UnknownIdError(IngestError):
+    """An edge names a publication that the node table lacks."""
+
+    def __init__(self, edge: int, role: str, node_id: str) -> None:
+        super().__init__(f"edge {edge + 1}: unknown {role} id {node_id!r}")
+        self.edge = edge
+        self.role = role
+        self.node_id = node_id
+
+    def at(self, path) -> IngestError:
+        """The same problem, located at its line in the edge file ``path``."""
+        lineno = _row_line(path, EDGE_HEADER, self.edge)
+        return IngestError(
+            f"{path}: line {lineno}: unknown {self.role} id {self.node_id!r}"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -53,17 +80,38 @@ class PubTime:
 
 
 @dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Publications in file order: external ids and int64 month keys.
+
+    ``time_keys[i]`` is ``PubTime.key()`` of the publication ``ids[i]``.
+    """
+
+    ids: tuple[str, ...]
+    time_keys: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs) -> NodeTable:
+        """Table of (id, PubTime) pairs, in their order."""
+        pairs = list(pairs)
+        return cls(
+            ids=tuple(nid for nid, _ in pairs),
+            time_keys=np.array([t.key() for _, t in pairs], dtype=np.int64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class CitationGraph:
     """Immutable citation DAG over externally named publications.
 
     Adjacency is stored citing -> cited in CSR form: the cited
     neighbours of node ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
-    sorted ascending. Every stored edge strictly decreases publication
-    time, which rules out cycles. Safe for concurrent reads.
+    sorted ascending. ``time_keys`` holds each node's month key
+    (``PubTime.key()``); every stored edge strictly decreases it, which
+    rules out cycles. Safe for concurrent reads.
     """
 
     node_ids: tuple[str, ...]
-    times: tuple[PubTime, ...]
+    time_keys: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     id_index: dict[str, int]
@@ -76,9 +124,6 @@ class CitationGraph:
 
     def out_neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def time_keys(self) -> np.ndarray:
-        return np.fromiter((t.key() for t in self.times), count=self.n, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -146,20 +191,89 @@ def _csv_rows(path, header: tuple[str, ...]):
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def parse_nodes(path) -> tuple[list[tuple[str, PubTime]], list[str]]:
+def _row_line(path, header: tuple[str, ...], index: int) -> int:
+    """Physical line number of the data row at 0-based ``index``."""
+    with closing(_csv_rows(path, header)) as rows:
+        return next(islice(rows, index, None))[0]
+
+
+def _csv_columns(path, header: tuple[str, ...]) -> list[list[str]] | None:
+    """Stripped columns of the nonblank data rows, in file order.
+
+    Returns None when the file is not a clean table: a wrong header, a
+    row with the wrong number of fields, or a row the csv module
+    rejects. ``_csv_rows`` then names the line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            rows = list(reader)
+        except csv.Error:
+            return None
+    if first is None or [h.strip() for h in first] != list(header):
+        return None
+    if set(map(len, rows)) - {len(header)}:
+        rows = [row for row in rows if len(row) > 1 or (row and row[0].strip())]
+        if set(map(len, rows)) - {len(header)}:
+            return None
+    if not rows:
+        return [[] for _ in header]
+    return [list(map(str.strip, column)) for column in zip(*rows)]
+
+
+def _disagree(path) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"{path}: the column checks rejected a table that the row checks accept"
+    )
+
+
+def parse_nodes(path) -> tuple[NodeTable, list[str]]:
     """Read the publication table.
 
-    Returns (nodes, warnings) where nodes is a list of (id, PubTime)
+    Returns (nodes, warnings) where nodes holds the ids and month keys
     in file order. A blank month defaults to January with a warning.
 
     Raises:
         IngestError: bad header, duplicate id, non-integer year, year
             beyond ``MAX_YEAR``, or month outside 1..12.
     """
-    nodes: list[tuple[str, PubTime]] = []
+    columns = _csv_columns(path, NODE_HEADER)
+    nodes = None if columns is None else _node_table(*columns)
+    if nodes is None:
+        _check_node_rows(path)
+        raise _disagree(path)
+    warnings = _check_node_rows(path) if "" in columns[2] else []
+    return nodes, warnings
+
+
+def _node_table(ids, year_s, month_s) -> NodeTable | None:
+    """The node table of the columns, or None when a row fails a check."""
+    if "" in ids or len(set(ids)) != len(ids):
+        return None
+    try:
+        years = np.fromiter(map(int, year_s), dtype=np.int64, count=len(ids))
+        months = np.fromiter(
+            map(int, [s or "1" for s in month_s]), dtype=np.int64, count=len(ids)
+        )
+    except (ValueError, OverflowError):
+        return None
+    if np.any((years > MAX_YEAR) | (years < -MAX_YEAR) | (months < 1) | (months > 12)):
+        return None
+    return NodeTable(ids=tuple(ids), time_keys=years * 12 + months - 1)
+
+
+def _check_node_rows(path) -> list[str]:
+    """Check the publication table row by row.
+
+    Returns the blank-month warnings, each with its line number.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
     warnings: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, (node_id, year_s, month_s) in _csv_rows(path, ("id", "year", "month")):
+    for lineno, (node_id, year_s, month_s) in _csv_rows(path, NODE_HEADER):
         if not node_id:
             raise IngestError(f"{path}: line {lineno}: empty node id")
         if node_id in seen:
@@ -177,7 +291,6 @@ def parse_nodes(path) -> tuple[list[tuple[str, PubTime]], list[str]]:
                 f"{path}: line {lineno}: year {year} outside -{MAX_YEAR}..{MAX_YEAR}"
             )
         if not month_s:
-            month = 1
             warnings.append(
                 f"node {node_id}: blank month defaults to 1 (line {lineno})"
             )
@@ -193,14 +306,13 @@ def parse_nodes(path) -> tuple[list[tuple[str, PubTime]], list[str]]:
                     f"{path}: line {lineno}: month {month} outside 1..12"
                 )
         seen[node_id] = lineno
-        nodes.append((node_id, PubTime(year, month)))
-    return nodes, warnings
+    return warnings
 
 
 def parse_edges(path) -> list[tuple[str, str]]:
     """Read the citation table as ordered (citing, cited) id pairs."""
     edges: list[tuple[str, str]] = []
-    for lineno, (citing, cited) in _csv_rows(path, ("citing", "cited")):
+    for lineno, (citing, cited) in _csv_rows(path, EDGE_HEADER):
         if not citing:
             raise IngestError(f"missing citing id on line {lineno}")
         if not cited:
@@ -209,39 +321,49 @@ def parse_edges(path) -> list[tuple[str, str]]:
     return edges
 
 
-def build_graph(nodes, edges) -> tuple[CitationGraph, IngestReport]:
+def build_graph(nodes: NodeTable, edges) -> tuple[CitationGraph, IngestReport]:
     """Assemble a CitationGraph, dropping synchronous and duplicate citations.
 
-    An edge is synchronous when the citing publication's time is the
-    same as, or older than, the cited one's; those edges are discarded
-    (self-loops fall under this rule). Duplicate surviving edges are
-    collapsed and counted.
+    ``edges`` is a sequence of (citing id, cited id) pairs. An edge is
+    synchronous when the citing publication's time is the same as, or
+    older than, the cited one's; those edges are discarded (self-loops
+    fall under this rule). Duplicate surviving edges are collapsed and
+    counted.
+
+    Raises:
+        IngestError: zero nodes.
+        UnknownIdError: an edge names an id missing from ``nodes``.
     """
-    if not nodes:
-        raise IngestError("zero nodes: cannot build a citation graph")
-    ids = tuple(nid for nid, _ in nodes)
-    times = tuple(t for _, t in nodes)
-    id_index = {nid: i for i, nid in enumerate(ids)}
+    ids = tuple(nodes.ids)
     n = len(ids)
-    tkey = np.fromiter((t.key() for t in times), count=n, dtype=np.int64)
+    if not n:
+        raise IngestError("zero nodes: cannot build a citation graph")
+    id_index = dict(zip(ids, range(n)))
+    tkey = np.array(nodes.time_keys, dtype=np.int64)
 
     e_total = len(edges)
-    citing = np.empty(e_total, dtype=np.int64)
-    cited = np.empty(e_total, dtype=np.int64)
-    for pos, (src, dst) in enumerate(edges):
-        try:
-            citing[pos] = id_index[src]
-        except KeyError:
-            raise IngestError(f"edge {pos + 1}: unknown citing id {src!r}") from None
-        try:
-            cited[pos] = id_index[dst]
-        except KeyError:
-            raise IngestError(f"edge {pos + 1}: unknown cited id {dst!r}") from None
+    citing, cited = (
+        np.fromiter(
+            map(id_index.get, map(itemgetter(end), edges), repeat(-1)),
+            dtype=np.int64,
+            count=e_total,
+        )
+        for end in (0, 1)
+    )
+    unknown = (citing < 0) | (cited < 0)
+    if unknown.any():
+        pos = int(np.argmax(unknown))
+        end, role = (0, "citing") if citing[pos] < 0 else (1, "cited")
+        raise UnknownIdError(pos, role, edges[pos][end])
 
     keep = tkey[citing] > tkey[cited]
     synchronous = int(e_total - int(keep.sum()))
-    key = citing[keep] * n + cited[keep]
-    unique = np.unique(key)  # sorted, so CSR rows and columns come out ordered
+    # Sorted, so CSR rows and columns come out ordered. A sort and a mask,
+    # not np.unique, which hashes int64 keys and is several times slower.
+    key = np.sort(citing[keep] * n + cited[keep])
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    unique = key[first]
     duplicates = int(key.size - unique.size)
     rows = unique // n
     cols = unique % n
@@ -253,11 +375,11 @@ def build_graph(nodes, edges) -> tuple[CitationGraph, IngestReport]:
         raise InternalInvariantError(
             "stored edge does not strictly decrease publication time"
         )
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
+    for array in (tkey, indptr, indices):
+        array.setflags(write=False)
     graph = CitationGraph(
         node_ids=ids,
-        times=times,
+        time_keys=tkey,
         indptr=indptr,
         indices=indices,
         id_index=id_index,
@@ -301,19 +423,32 @@ def topological_order(graph: CitationGraph) -> np.ndarray:
     return order
 
 
-def longest_path_length(graph: CitationGraph, order: np.ndarray | None = None) -> int:
-    """Maximum number of edges on any directed path, by DP over the order."""
-    if graph.n == 0:
-        return 0
-    if order is None:
-        order = topological_order(graph)
-    dist = np.zeros(graph.n, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
-    for u in order[::-1]:
-        s, e = indptr[u], indptr[u + 1]
-        if e > s:
-            dist[u] = 1 + dist[indices[s:e]].max()
-    return int(dist.max())
+def longest_path_length(graph: CitationGraph) -> int:
+    """Maximum number of edges on any directed path.
+
+    Counts frontier steps over the edges. It starts from all edges,
+    and each step keeps the edges whose cited end still begins a path,
+    that is, still cites through a kept edge. After t steps an edge is
+    kept exactly when a path of t more edges starts at its cited end,
+    so the number of steps until no edge is left is the answer.
+
+    Raises:
+        InternalInvariantError: a step drops no edge, so the edges
+            contain a cycle.
+    """
+    citing = np.repeat(np.arange(graph.n), graph.outdegree)
+    cited = graph.indices
+    begins = np.zeros(graph.n, dtype=bool)
+    steps = 0
+    while cited.size:
+        begins[:] = False
+        begins[citing] = True
+        keep = begins[cited]
+        if keep.all():
+            raise InternalInvariantError("cycle detected in citation graph")
+        citing, cited = citing[keep], cited[keep]
+        steps += 1
+    return steps
 
 
 def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]:
@@ -328,12 +463,81 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     Raises:
         IngestError: bad header, nonpositive weight, or unknown id.
     """
-    per_node: dict[int, dict[str, float]] = {}
-    label_pos: dict[str, int] = {}
-    label_order: list[str] = []
+    columns = _csv_columns(path, MEMBERSHIP_HEADER)
+    entries = None if columns is None else _membership_entries(graph, *columns)
+    if entries is None:
+        _check_membership_rows(path, graph)
+        raise _disagree(path)
+    node, weight = entries
+    label_order = list(dict.fromkeys(columns[1]))
+    label_pos = {label: j for j, label in enumerate(label_order)}
+    col = np.fromiter(
+        map(label_pos.__getitem__, columns[1]), dtype=np.int64, count=node.size
+    )
     warnings: list[str] = []
-    header = ("id", "discipline", "weight")
-    for lineno, (node_id, label, weight_s) in _csv_rows(path, header):
+    present = np.zeros(graph.n, dtype=bool)
+    present[node] = True
+    missing = np.flatnonzero(~present)
+    if missing.size:
+        if UNCLASSIFIED not in label_pos:
+            label_pos[UNCLASSIFIED] = len(label_order)
+            label_order.append(UNCLASSIFIED)
+        node = np.concatenate([node, missing])
+        col = np.concatenate([col, np.full(missing.size, label_pos[UNCLASSIFIED])])
+        weight = np.concatenate([weight, np.ones(missing.size)])
+        warnings.extend(
+            f"publication {graph.node_ids[i]} has no membership row, "
+            f"assigned to {UNCLASSIFIED}"
+            for i in missing
+        )
+
+    # Rows repeating a (publication, discipline) pair add up in file
+    # order: bincount sums each cell sequentially.
+    k = len(label_order)
+    cell, inverse = np.unique(node * k + col, return_inverse=True)
+    value = np.bincount(inverse, weights=weight)
+    row = cell // k
+    indptr = np.searchsorted(row, np.arange(graph.n + 1))
+    # A sum of one or two floats is already rounded exactly; longer
+    # (and overflowing) rows go through math.fsum.
+    total = np.bincount(row, weights=value, minlength=graph.n)
+    for i in np.flatnonzero((np.diff(indptr) > 2) | ~np.isfinite(total)):
+        total[i] = math.fsum(value[indptr[i] : indptr[i + 1]].tolist())
+    for i in np.flatnonzero(np.abs(total - 1.0) > 1e-9):
+        warnings.append(
+            f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
+            "renormalized to 1"
+        )
+    weights = sparse.coo_matrix(
+        (value / total[row], (row, cell % k)), shape=(graph.n, k), dtype=np.float64
+    ).tocsr()
+    weights.sort_indices()
+    return Membership(k=k, labels=tuple(label_order), weights=weights), warnings
+
+
+def _membership_entries(graph, ids, labels, weight_s):
+    """(node index, weight) columns, or None when a row fails a check."""
+    if "" in ids or "" in labels:
+        return None
+    try:
+        weight = np.fromiter(map(float, weight_s), dtype=np.float64, count=len(ids))
+    except ValueError:
+        return None
+    node = np.fromiter(
+        map(graph.id_index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+    )
+    if not np.all((weight > 0) & np.isfinite(weight)) or np.any(node < 0):
+        return None
+    return node, weight
+
+
+def _check_membership_rows(path, graph: CitationGraph) -> None:
+    """Check the classification row by row.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
+    for lineno, (node_id, label, weight_s) in _csv_rows(path, MEMBERSHIP_HEADER):
         if not node_id or not label:
             raise IngestError(f"{path}: line {lineno}: empty id or discipline")
         try:
@@ -346,48 +550,7 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
             raise IngestError(
                 f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
             )
-        try:
-            idx = graph.id_index[node_id]
-        except KeyError:
+        if node_id not in graph.id_index:
             raise IngestError(
                 f"{path}: line {lineno}: membership references unknown id {node_id!r}"
-            ) from None
-        if label not in label_pos:
-            label_pos[label] = len(label_order)
-            label_order.append(label)
-        bucket = per_node.setdefault(idx, {})
-        bucket[label] = bucket.get(label, 0.0) + weight
-
-    missing = [i for i in range(graph.n) if i not in per_node]
-    if missing:
-        if UNCLASSIFIED not in label_pos:
-            label_pos[UNCLASSIFIED] = len(label_order)
-            label_order.append(UNCLASSIFIED)
-        for i in missing:
-            per_node[i] = {UNCLASSIFIED: 1.0}
-            warnings.append(
-                f"publication {graph.node_ids[i]} has no membership row, "
-                f"assigned to {UNCLASSIFIED}"
             )
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i in range(graph.n):
-        bucket = per_node[i]
-        total = math.fsum(bucket.values())
-        if abs(total - 1.0) > 1e-9:
-            warnings.append(
-                f"membership rows for {graph.node_ids[i]} sum to {total:.12g}; "
-                "renormalized to 1"
-            )
-        for label, weight in bucket.items():
-            rows.append(i)
-            cols.append(label_pos[label])
-            data.append(weight / total)
-    k = len(label_order)
-    weights = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(graph.n, k), dtype=np.float64
-    ).tocsr()
-    weights.sort_indices()
-    return Membership(k=k, labels=tuple(label_order), weights=weights), warnings

@@ -11,9 +11,13 @@ import argparse
 import csv
 import dataclasses
 import os
+import re
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,10 @@ class RunConfig:
             raise ValueError(f"unknown betweenness mode {self.betweenness!r}")
 
 
+# The per-order flow files that compute writes, M_1.csv, M_2.csv, ...
+_ORDER_FILE = re.compile(r"M_[0-9]+\.csv")
+
+
 def _log(msg: str) -> None:
     print(f"[citeflow] {msg}", file=sys.stderr)
 
@@ -62,7 +70,10 @@ def _log(msg: str) -> None:
 def _ingest(nodes_path, edges_path, membership_path):
     nodes, node_warnings = citegraph.parse_nodes(nodes_path)
     edges = citegraph.parse_edges(edges_path)
-    graph, report = citegraph.build_graph(nodes, edges)
+    try:
+        graph, report = citegraph.build_graph(nodes, edges)
+    except citegraph.UnknownIdError as exc:
+        raise exc.at(edges_path) from None
     membership, mem_warnings = citegraph.parse_membership(membership_path, graph)
     all_warnings = tuple(node_warnings) + report.warnings + tuple(mem_warnings)
     report = dataclasses.replace(report, warnings=all_warnings)
@@ -174,13 +185,37 @@ def _svg_text(contrib: analytics.OrderContributions) -> str:
 
 
 def cmd_compute(config: RunConfig) -> int:
-    """Run the full pipeline and write every artifact into the output dir."""
+    """Run the full pipeline and write its artifacts into the output dir.
+
+    The files are written into a temporary directory inside
+    ``config.out`` and moved into place only when all of them are
+    written; order files (``M_<i>.csv``) that an earlier run left
+    beyond this run's orders are then removed. A failed run leaves the
+    output directory as it was. Files that compute does not write are
+    kept.
+    """
     started = time.perf_counter()
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
+    staging = Path(tempfile.mkdtemp(prefix=".citeflow-", dir=out_dir))
+    try:
+        names = _write_results(config, staging)
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+        for stale in out_dir.iterdir():
+            if _ORDER_FILE.fullmatch(stale.name) and stale.name not in names:
+                stale.unlink()
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    elapsed = time.perf_counter() - started
+    _log(f"wrote {len(names)} files to {out_dir} in {elapsed:.2f}s")
+    return 0
 
+
+def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
+    """Compute every artifact into ``out_dir``; return the file names."""
     graph, membership, report = _ingest(config.nodes, config.edges, config.membership)
     _log(
         f"graph: n={graph.n} m={graph.m} "
@@ -214,15 +249,15 @@ def cmd_compute(config: RunConfig) -> int:
         for member in group:
             community_of[member] = number
 
-    written: list[Path] = []
+    written: list[str] = []
 
     def write_rows(name: str, rows) -> None:
-        written.append(out_dir / name)
-        _write_rows(written[-1], rows)
+        written.append(name)
+        _write_rows(out_dir / name, rows)
 
     def write_text(name: str, text: str) -> None:
-        written.append(out_dir / name)
-        written[-1].write_text(text, encoding="utf-8")
+        written.append(name)
+        (out_dir / name).write_text(text, encoding="utf-8")
 
     write_rows("F.csv", _matrix_rows(labels, decomp.total))
     write_rows("F0.csv", _matrix_rows(labels, decomp.identity_flow))
@@ -275,10 +310,7 @@ def cmd_compute(config: RunConfig) -> int:
     write_text("negative.dot", _dot_text("negative", labels, negative, community_of))
     chosen = contrib_l1 if config.norm_kind == analytics.ENTRYWISE_L1 else contrib_fro
     write_text("contributions.svg", _svg_text(chosen))
-
-    elapsed = time.perf_counter() - started
-    _log(f"wrote {len(written)} files to {out_dir} in {elapsed:.2f}s")
-    return 0
+    return written
 
 
 def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
@@ -286,24 +318,36 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, membership = refkit.random_dag(spec)
+    ids = np.array(graph.node_ids)
+    years, months = np.divmod(graph.time_keys, 12)
     _write_rows(
         out / "nodes.csv",
-        [["id", "year", "month"]]
-        + [
-            [graph.node_ids[i], str(graph.times[i].year), str(graph.times[i].month)]
-            for i in range(graph.n)
-        ],
+        chain(
+            [["id", "year", "month"]],
+            zip(
+                graph.node_ids,
+                map(str, years.tolist()),
+                map(str, (months + 1).tolist()),
+            ),
+        ),
     )
-    edge_rows = [["citing", "cited"]]
-    for u in range(graph.n):
-        for v in graph.out_neighbors(u):
-            edge_rows.append([graph.node_ids[u], graph.node_ids[int(v)]])
-    _write_rows(out / "edges.csv", edge_rows)
+    citing = ids[np.repeat(np.arange(graph.n), graph.outdegree)]
+    _write_rows(
+        out / "edges.csv",
+        chain([["citing", "cited"]], zip(citing.tolist(), ids[graph.indices].tolist())),
+    )
     weights = membership.weights.tocoo()
-    mem_rows = [["id", "discipline", "weight"]]
-    for i, j, w in zip(weights.row, weights.col, weights.data):
-        mem_rows.append([graph.node_ids[int(i)], membership.labels[int(j)], _fmt(w)])
-    _write_rows(out / "membership.csv", mem_rows)
+    _write_rows(
+        out / "membership.csv",
+        chain(
+            [["id", "discipline", "weight"]],
+            zip(
+                ids[weights.row].tolist(),
+                np.array(membership.labels)[weights.col].tolist(),
+                map(_fmt, weights.data.tolist()),
+            ),
+        ),
+    )
     _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
     return 0
 

@@ -22,6 +22,7 @@ from .citegraph import (
     CiteflowError,
     CitationGraph,
     Membership,
+    NodeTable,
     PubTime,
     build_graph,
     topological_order,
@@ -271,37 +272,37 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     """
     rng = np.random.default_rng(spec.seed)
     width = max(len(str(spec.n)), 1)
-    ids = [f"p{i + 1:0{width}d}" for i in range(spec.n)]
+    ids = tuple(f"p{i + 1:0{width}d}" for i in range(spec.n))
     buckets = rng.integers(0, spec.month_span, size=spec.n)
-    times = [PubTime(2000 + int(b) // 12, 1 + int(b) % 12) for b in buckets]
-    nodes = list(zip(ids, times))
+    nodes = NodeTable(ids=ids, time_keys=PubTime(2000, 1).key() + buckets)
 
-    chosen: list[tuple[int, int]] = []
-    seen: set[int] = set()
+    # Each batch adds its new pairs in proposal order, as if they were
+    # taken one by one, until the edge target is met.
+    chosen = np.empty(0, dtype=np.int64)  # sorted keys u * n + v
     budget = PROPOSAL_FACTOR * spec.target_m
     proposed = 0
-    while len(chosen) < spec.target_m and proposed < budget:
+    while chosen.size < spec.target_m and proposed < budget:
         batch = int(min(max(4096, spec.target_m), budget - proposed))
         pairs = rng.integers(0, spec.n, size=(batch, 2))
         proposed += batch
         bu = buckets[pairs[:, 0]]
         bv = buckets[pairs[:, 1]]
         distinct = bu != bv
-        oriented = np.where((bu > bv)[:, None], pairs, pairs[:, ::-1])
-        for u, v in oriented[distinct]:
-            key = int(u) * spec.n + int(v)
-            if key not in seen:
-                seen.add(key)
-                chosen.append((int(u), int(v)))
-                if len(chosen) == spec.target_m:
-                    break
-    if len(chosen) < spec.target_m:
+        oriented = np.where((bu > bv)[:, None], pairs, pairs[:, ::-1])[distinct]
+        key = oriented[:, 0] * spec.n + oriented[:, 1]
+        unique, first = np.unique(key, return_index=True)
+        fresh = np.sort(first[~np.isin(unique, chosen, assume_unique=True)])
+        new = key[fresh[: spec.target_m - chosen.size]]
+        chosen = np.sort(np.concatenate([chosen, new]))
+    if chosen.size < spec.target_m:
         _warnings.warn(
             f"edge target {spec.target_m} infeasible within the proposal budget; "
-            f"generated {len(chosen)} edges",
+            f"generated {chosen.size} edges",
             stacklevel=2,
         )
-    graph, _ = build_graph(nodes, [(ids[u], ids[v]) for u, v in chosen])
+    citing = map(ids.__getitem__, (chosen // spec.n).tolist())
+    cited = map(ids.__getitem__, (chosen % spec.n).tolist())
+    graph, _ = build_graph(nodes, list(zip(citing, cited)))
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
     two_way = rng.random(spec.n) < 0.2

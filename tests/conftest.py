@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from citeflow import Membership, PubTime, build_graph
+from citeflow import Membership, NodeTable, PubTime, build_graph
 
 FIX7_NODES = [
     ("1", PubTime(2016, 5)),
@@ -46,6 +46,37 @@ MEMBERSHIP_CSV = "id,discipline,weight\n" + "".join(
     f"{nid},{d},{w:g}\n" for nid, d, w in FIX7_MEMBER_ROWS
 )
 
+# Mutations of the fields of one line of an input file, for fuzz tests.
+MUTATIONS = {
+    "drop-field": lambda fields, i: fields[:-1],
+    "extra-field": lambda fields, i: [*fields, "x"],
+    "empty-field": lambda fields, i: fields[:i] + [""] + fields[i + 1 :],
+    "non-numeric": lambda fields, i: fields[:i] + [fields[i] + "x"] + fields[i + 1 :],
+    "negative": lambda fields, i: fields[:i] + ["-" + fields[i]] + fields[i + 1 :],
+    "huge": lambda fields, i: fields[:i] + [fields[i] + "9" * 20] + fields[i + 1 :],
+    "nan": lambda fields, i: fields[:i] + ["nan"] + fields[i + 1 :],
+    "unknown-id": lambda fields, i: ["zzz", *fields[1:]],
+    "id-of-line-1": lambda fields, i: ["1", *fields[1:]],
+    "quoted": lambda fields, i: fields[:i] + [f'"{fields[i]}"'] + fields[i + 1 :],
+    "open-quote": lambda fields, i: fields[:i] + [f'"{fields[i]}'] + fields[i + 1 :],
+    "blank-before": lambda fields, i: ["\n" + fields[0], *fields[1:]],
+    "spaces": lambda fields, i: [f"  {f} " for f in fields],
+}
+
+
+def mutate_line(text: str, line: int, field: int, names) -> str:
+    """``text`` with the named MUTATIONS applied to one field of one line.
+
+    ``line`` and ``field`` wrap around, so any integers pick a place.
+    """
+    lines = text.splitlines()
+    fields = lines[line % len(lines)].split(",")
+    for name in names:
+        fields = MUTATIONS[name](fields, field % len(fields))
+    lines[line % len(lines)] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 # frozen expectations, all dyadic and exact in binary floating point
 FIX7_P_ROW1 = (1.0, 0.5, 0.5, 0.25, 0.75, 0.625, 0.375)
 FIX7_F = [[4.25, 1.75, 3.0], [0.0, 3.0, 2.0], [0.0, 0.0, 2.0]]
@@ -59,7 +90,7 @@ FIX7_LONGEST = 3
 
 @pytest.fixture
 def fix7_graph():
-    graph, report = build_graph(FIX7_NODES, FIX7_EDGES)
+    graph, report = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
     assert report.edges_kept == 8
     return graph
 

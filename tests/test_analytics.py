@@ -13,6 +13,7 @@ from citeflow import (
     ENTRYWISE_L1,
     FROBENIUS,
     DisciplineNetwork,
+    NodeTable,
     PubTime,
     betweenness_centrality,
     build_graph,
@@ -39,6 +40,14 @@ def fix7_decomp(fix7_graph, fix7_membership):
     return flow_decomposition(build_operator(fix7_graph), fix7_membership)
 
 
+def _sparse_flow(seed, k=9):
+    """A k x k flow with about half its entries zero and one zero column."""
+    rng = np.random.default_rng(seed)
+    f = rng.random((k, k)) * (rng.random((k, k)) < 0.5) * 10.0
+    f[:, 0] = 0.0
+    return f
+
+
 def _clique(nodes, offset=0, weight=1.0):
     return {
         (offset + u, offset + v): weight
@@ -63,6 +72,13 @@ class TestMatrixNorm:
         with pytest.raises(ValueError, match="norm kind"):
             matrix_norm(FIX7_M1, "spectral")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_fsum_of_each_entry(self, seed):
+        m = _sparse_flow(seed)
+        assert matrix_norm(m, ENTRYWISE_L1) == math.fsum(abs(x) for x in m.ravel())
+        frobenius = math.sqrt(math.fsum(x * x for x in m.ravel()))
+        assert matrix_norm(m, FROBENIUS) == frobenius
+
 
 class TestOrderContributions:
     def test_fix7_l1_shares(self, fix7_decomp):
@@ -73,7 +89,7 @@ class TestOrderContributions:
 
     def test_chain_shares(self):
         nodes = [(c, PubTime(2016, 12 - i)) for i, c in enumerate("abc")]
-        graph, _ = build_graph(nodes, [("a", "b"), ("b", "c")])
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), [("a", "b"), ("b", "c")])
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((3, 1)))
@@ -82,7 +98,7 @@ class TestOrderContributions:
         assert contrib.shares == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_edgeless_graph_is_empty(self):
-        graph, _ = build_graph([("a", PubTime(2016, 1))], [])
+        graph, _ = build_graph(NodeTable.from_pairs([("a", PubTime(2016, 1))]), [])
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((1, 1)))
@@ -332,6 +348,21 @@ class TestRaoEntropy:
         rao = rao_entropy(f)
         assert rao.zero_columns.tolist() == [False, True]
         assert rao.scores[1] == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_fsum_over_the_support(self, seed):
+        f = _sparse_flow(seed)
+        rao = rao_entropy(f)
+        distance = 1.0 - cosine_similarity(f)
+        for v in range(f.shape[0]):
+            p = rao.shares[:, v]
+            terms = (
+                p[u] * p[w] * distance[u, w]
+                for u in range(f.shape[0])
+                for w in range(f.shape[0])
+                if p[u] != 0.0 and p[w] != 0.0
+            )
+            assert rao.scores[v] == min(math.fsum(terms), 1.0)
 
 
 class TestDisciplineSummary:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeflow import (
+    CitationGraph,
     IngestError,
+    InternalInvariantError,
+    NodeTable,
     PubTime,
     SynthSpec,
     UNCLASSIFIED,
@@ -22,8 +26,17 @@ from citeflow import (
     random_dag,
     topological_order,
 )
+from citeflow import citegraph
 from citeflow.citegraph import MAX_YEAR
-from conftest import FIX7_LONGEST, FIX7_NODES
+from conftest import (
+    FIX7_EDGES,
+    FIX7_LONGEST,
+    FIX7_NODES,
+    MEMBERSHIP_CSV,
+    MUTATIONS,
+    NODES_CSV,
+    mutate_line,
+)
 
 
 def _write(tmp_path, name, text):
@@ -36,13 +49,15 @@ class TestParseNodes:
     def test_basic_row(self, tmp_path):
         path = _write(tmp_path, "n.csv", "id,year,month\np1,2016,5\n")
         nodes, warnings = parse_nodes(path)
-        assert nodes == [("p1", PubTime(2016, 5))]
+        assert nodes.ids == ("p1",)
+        assert nodes.time_keys.tolist() == [PubTime(2016, 5).key()]
         assert warnings == []
 
     def test_blank_month_defaults_with_warning(self, tmp_path):
         path = _write(tmp_path, "n.csv", "id,year,month\np2,2015,\n")
         nodes, warnings = parse_nodes(path)
-        assert nodes == [("p2", PubTime(2015, 1))]
+        assert nodes.ids == ("p2",)
+        assert nodes.time_keys.tolist() == [PubTime(2015, 1).key()]
         assert len(warnings) == 1 and "p2" in warnings[0]
 
     def test_duplicate_id_is_fatal(self, tmp_path):
@@ -79,6 +94,40 @@ class TestParseNodes:
         with pytest.raises(IngestError, match="header"):
             parse_nodes(path)
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=-3000, max_value=3000),
+                st.integers(min_value=0, max_value=12),  # 0 writes a blank month
+                st.booleans(),  # a blank line before the row
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_keys_and_blank_month_lines_match_each_row(self, tmp_path_factory, rows):
+        lines, keys, expected = ["id,year,month"], [], []
+        for i, (year, month, blank_before) in enumerate(rows):
+            if blank_before:
+                lines.append("")
+            lines.append(f"p{i},{year},{month or ''}")
+            keys.append(PubTime(year, month or 1).key())
+            if not month:
+                expected.append(
+                    f"node p{i}: blank month defaults to 1 (line {len(lines)})"
+                )
+        text = "\n".join(lines) + "\n"
+        path = _write(tmp_path_factory.mktemp("nodes"), "n.csv", text)
+        nodes, warns = parse_nodes(path)
+        assert nodes.ids == tuple(f"p{i}" for i in range(len(rows)))
+        assert nodes.time_keys.tolist() == keys
+        assert warns == expected
+
+    def test_first_bad_row_wins_over_a_later_malformed_row(self, tmp_path):
+        text = "id,year,month\na,2016,1\nb,20x6,1\nc,2016\n"
+        with pytest.raises(IngestError, match="line 3: year '20x6'"):
+            parse_nodes(_write(tmp_path, "n.csv", text))
+
 
 class TestParseEdges:
     def test_basic_pair(self, tmp_path):
@@ -107,25 +156,26 @@ class TestBuildGraph:
 
     def test_synchronous_edge_discarded(self):
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2016, 5))]
-        graph, report = build_graph(nodes, [("a", "b")])
+        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "b")])
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_older_citing_discarded(self):
         nodes = [("a", PubTime(2015, 5)), ("b", PubTime(2016, 5))]
-        graph, report = build_graph(nodes, [("a", "b")])
+        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "b")])
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_self_loop_counts_as_synchronous(self):
         nodes = [("a", PubTime(2016, 5))]
-        graph, report = build_graph(nodes, [("a", "a")])
+        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "a")])
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_duplicate_edge_collapsed(self):
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2015, 5))]
-        graph, report = build_graph(nodes, [("a", "b"), ("a", "b")])
+        edges = [("a", "b"), ("a", "b")]
+        graph, report = build_graph(NodeTable.from_pairs(nodes), edges)
         assert graph.m == 1
         assert report.duplicate_edges_discarded == 1
 
@@ -136,7 +186,7 @@ class TestBuildGraph:
             ("c", PubTime(2015, 5)),
         ]
         edges = [("a", "b"), ("a", "b"), ("b", "c"), ("a", "c")]
-        graph, report = build_graph(nodes, edges)
+        graph, report = build_graph(NodeTable.from_pairs(nodes), edges)
         assert report.edges_read == 4
         assert (
             report.edges_read
@@ -149,14 +199,14 @@ class TestBuildGraph:
     def test_unknown_endpoint_is_fatal(self):
         nodes = [("a", PubTime(2016, 5))]
         with pytest.raises(IngestError, match="unknown cited id"):
-            build_graph(nodes, [("a", "zz")])
+            build_graph(NodeTable.from_pairs(nodes), [("a", "zz")])
 
     def test_zero_nodes_is_fatal(self):
         with pytest.raises(IngestError, match="zero nodes"):
-            build_graph([], [])
+            build_graph(NodeTable.from_pairs([]), [])
 
     def test_every_stored_edge_strictly_decreases_time(self, fix7_graph):
-        tkey = fix7_graph.time_keys()
+        tkey = fix7_graph.time_keys
         for u in range(fix7_graph.n):
             for v in fix7_graph.out_neighbors(u):
                 assert tkey[u] > tkey[v]
@@ -173,12 +223,12 @@ class TestTopologicalOrder:
         assert set(order[-2:]) == {"6", "7"}
 
     def test_single_node(self):
-        graph, _ = build_graph([("a", PubTime(2016, 1))], [])
+        graph, _ = build_graph(NodeTable.from_pairs([("a", PubTime(2016, 1))]), [])
         assert topological_order(graph).tolist() == [0]
 
     def test_isolated_nodes_tie_break_by_id(self):
         graph, _ = build_graph(
-            [("b", PubTime(2016, 1)), ("a", PubTime(2015, 1))], []
+            NodeTable.from_pairs([("b", PubTime(2016, 1)), ("a", PubTime(2015, 1))]), []
         )
         order = [graph.node_ids[i] for i in topological_order(graph)]
         assert order == ["a", "b"]
@@ -207,14 +257,70 @@ class TestLongestPath:
         assert longest_path_length(fix7_graph) == FIX7_LONGEST
 
     def test_edgeless(self):
-        graph, _ = build_graph([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))], [])
+        graph, _ = build_graph(
+            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]), []
+        )
         assert longest_path_length(graph) == 0
 
     def test_chain_of_five(self):
         nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(5)]
         edges = [(f"n{i}", f"n{i+1}") for i in range(4)]
-        graph, _ = build_graph(nodes, edges)
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), edges)
         assert longest_path_length(graph) == 4
+
+    @pytest.mark.parametrize("size", [1, 2, 40])
+    def test_chain_and_edgeless_match_heap_order_dp(self, size):
+        nodes = NodeTable(
+            ids=tuple(f"n{i}" for i in range(size)),
+            time_keys=np.arange(size, 0, -1, dtype=np.int64),
+        )
+        chain, _ = build_graph(nodes, [(f"n{i}", f"n{i + 1}") for i in range(size - 1)])
+        edgeless, _ = build_graph(nodes, [])
+        assert longest_path_length(chain) == _heap_order_dp(chain) == size - 1
+        assert longest_path_length(edgeless) == _heap_order_dp(edgeless) == 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=60),
+        per_node=st.integers(min_value=0, max_value=6),
+        month_span=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_frontier_matches_heap_order_dp(self, seed, n, per_node, month_span):
+        spec = SynthSpec(
+            n=n,
+            target_m=min(per_node * n, n * (n - 1) // 2),
+            k=1,
+            seed=seed,
+            month_span=month_span,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # infeasible targets
+            graph, _ = random_dag(spec)
+        assert longest_path_length(graph) == _heap_order_dp(graph)
+
+    def test_cycle_is_an_internal_error(self):
+        graph = CitationGraph(
+            node_ids=("a", "b", "c"),
+            time_keys=np.zeros(3, dtype=np.int64),
+            indptr=np.array([0, 1, 2, 3]),
+            indices=np.array([1, 2, 1]),
+            id_index={"a": 0, "b": 1, "c": 2},
+            n=3,
+            m=3,
+        )
+        with pytest.raises(InternalInvariantError, match="cycle"):
+            longest_path_length(graph)
+
+
+def _heap_order_dp(graph):
+    """Longest path by DP over the heap topological order, node by node."""
+    dist = np.zeros(graph.n, dtype=np.int64)
+    for u in topological_order(graph)[::-1]:
+        cited = graph.out_neighbors(u)
+        if cited.size:
+            dist[u] = 1 + dist[cited].max()
+    return int(dist.max())
 
 
 class TestParseMembership:
@@ -266,6 +372,27 @@ class TestParseMembership:
         assert membership.labels == ("Q", "A")
 
     @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from("1234567"),
+                st.sampled_from(["A", "B", "C", UNCLASSIFIED]),
+                st.floats(min_value=1e-3, max_value=1e3),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_matches_row_by_row_grouping(self, tmp_path_factory, rows):
+        fix7_graph, _ = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
+        body = "".join(f"{nid},{label},{weight!r}\n" for nid, label, weight in rows)
+        text = "id,discipline,weight\n" + body
+        path = _write(tmp_path_factory.mktemp("membership"), "m.csv", text)
+        membership, _ = parse_membership(path, fix7_graph)
+        labels, dense = _membership_by_rows(rows, fix7_graph)
+        assert membership.labels == labels
+        assert membership.weights.toarray().tobytes() == dense.tobytes()
+
+    @given(
         weights=st.lists(
             st.integers(min_value=1, max_value=50), min_size=1, max_size=5
         )
@@ -274,7 +401,7 @@ class TestParseMembership:
     def test_rows_always_sum_to_one(self, tmp_path_factory, weights):
         tmp_path = tmp_path_factory.mktemp("membership")
         nodes = [("a", PubTime(2016, 1))]
-        graph, _ = build_graph(nodes, [])
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), [])
         body = "".join(f"a,d{j},{w}\n" for j, w in enumerate(weights))
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, _ = parse_membership(path, graph)
@@ -283,13 +410,77 @@ class TestParseMembership:
         assert abs(math.fsum(row) - 1.0) <= 1e-9
 
 
+def _membership_by_rows(rows, graph):
+    """Labels and dense weights, grouped and renormalized one row at a time."""
+    per_node: dict[int, dict[str, float]] = {}
+    for node_id, label, weight in rows:
+        bucket = per_node.setdefault(graph.id_index[node_id], {})
+        bucket[label] = bucket.get(label, 0.0) + weight
+    labels = list(dict.fromkeys(label for _, label, _ in rows))
+    if len(per_node) < graph.n and UNCLASSIFIED not in labels:
+        labels.append(UNCLASSIFIED)
+    dense = np.zeros((graph.n, len(labels)))
+    for i in range(graph.n):
+        bucket = per_node.get(i, {UNCLASSIFIED: 1.0})
+        total = math.fsum(bucket.values())
+        for label, weight in bucket.items():
+            dense[i, labels.index(label)] = weight / total
+    return tuple(labels), dense
+
+
+def _row_checks_pass(check, *args) -> bool:
+    try:
+        check(*args)
+    except IngestError:
+        return False
+    return True
+
+
+class TestColumnChecksMatchRowChecks:
+    """The column checks accept a file exactly when the row checks do.
+
+    The row checks run only to name a bad line, so a rule that the
+    column checks miss would let a bad row through unnoticed.
+    """
+
+    _mutations = {
+        "line": st.integers(min_value=0, max_value=7),
+        "field": st.integers(min_value=0, max_value=2),
+        "names": st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=2),
+    }
+
+    @given(**_mutations)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_nodes(self, tmp_path_factory, line, field, names):
+        text = mutate_line(NODES_CSV, line, field, names)
+        path = _write(tmp_path_factory.mktemp("nodes"), "n.csv", text)
+        columns = citegraph._csv_columns(path, citegraph.NODE_HEADER)
+        accepted = columns is not None and citegraph._node_table(*columns) is not None
+        assert accepted == _row_checks_pass(citegraph._check_node_rows, path)
+
+    @given(**_mutations)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_membership(self, tmp_path_factory, line, field, names):
+        graph, _ = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
+        text = mutate_line(MEMBERSHIP_CSV, line, field, names)
+        path = _write(tmp_path_factory.mktemp("membership"), "m.csv", text)
+        columns = citegraph._csv_columns(path, citegraph.MEMBERSHIP_HEADER)
+        accepted = (
+            columns is not None
+            and citegraph._membership_entries(graph, *columns) is not None
+        )
+        assert accepted == _row_checks_pass(
+            citegraph._check_membership_rows, path, graph
+        )
+
+
 class TestRandomDagInvariants:
     @pytest.mark.parametrize("seed", [0, 5, 42])
     def test_generated_graphs_satisfy_invariants(self, seed):
         graph, membership = random_dag(
             SynthSpec(n=200, target_m=2000, k=8, seed=seed)
         )
-        tkey = graph.time_keys()
+        tkey = graph.time_keys
         pairs = set()
         for u in range(graph.n):
             neighbors = graph.out_neighbors(u)

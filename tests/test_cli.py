@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citeflow.cli import main
+from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
 
 
 def _read(path: Path) -> str:
@@ -137,6 +145,60 @@ class TestCompute:
         code = _compute(fix7_files, tmp_path / "x", "--hi-pct", "10", "--lo-pct", "90")
         assert code == 2
 
+    def test_rerun_replaces_earlier_artifacts(self, fix7_files, tmp_path):
+        out = tmp_path / "out"
+        assert _compute(fix7_files, out) == 0
+        assert _compute(fix7_files, out, "--max-order", "1") == 0
+        names = {p.name for p in out.iterdir()}
+        assert len(names) == 14 and "M_2.csv" not in names
+        inputs = {p.name for p in fix7_files}
+        assert {p.name for p in tmp_path.iterdir()} == inputs | {"out"}
+
+    def test_files_compute_does_not_write_are_kept(self, fix7_files, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = [out / p.name for p in fix7_files]
+        for src, dst in zip(fix7_files, inputs):
+            dst.write_bytes(src.read_bytes())
+        (out / "M_notes.txt").write_text("mine", encoding="utf-8")
+        kept = _tree_bytes(out)
+        assert _compute(inputs, out) == 0
+        assert _compute(inputs, out, "--max-order", "1") == 0
+        after = _tree_bytes(out)
+        assert {name: after[name] for name in kept} == kept
+        assert len(after) == len(kept) + 14 and "M_2.csv" not in after
+
+    def test_out_dot_is_the_working_directory(self, fix7_files, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert _compute(fix7_files, Path(".")) == 0
+        assert len(list(out.iterdir())) == 16
+        assert _compute(fix7_files, Path("."), "--max-order", "1") == 0
+        assert len(list(out.iterdir())) == 14
+
+    def test_symlinked_out_stays_a_link(self, fix7_files, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.mkdir()
+        link.symlink_to(real, target_is_directory=True)
+        assert _compute(fix7_files, link) == 0
+        assert _compute(fix7_files, link, "--max-order", "1") == 0
+        assert link.is_symlink() and len(list(real.iterdir())) == 14
+        inputs = {p.name for p in fix7_files}
+        assert {p.name for p in tmp_path.iterdir()} == inputs | {"real", "link"}
+
+    def test_failed_run_leaves_earlier_out(self, fix7_files, tmp_path):
+        out = tmp_path / "out"
+        assert _compute(fix7_files, out) == 0
+        before = _tree_bytes(out)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,discipline,weight\n1,X,-1\n", encoding="utf-8")
+        assert _compute((*fix7_files[:2], bad), out) == 2
+        assert len(before) == 16
+        assert _tree_bytes(out) == before
+        inputs = {p.name for p in fix7_files}
+        assert {p.name for p in tmp_path.iterdir()} == inputs | {"out", "bad.csv"}
+
     def test_unwritable_out_dir_exits_2(self, fix7_files, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory", encoding="utf-8")
@@ -158,8 +220,13 @@ class TestMalformedInput:
             (1, "citing,cited\n1," + "x" * 140_000 + "\n"),
             (2, "id,discipline,weight\n1," + "X" * 140_000 + ",1\n"),
             (0, "id,year,month\na,99999999999999999999,1\n"),
+            (1, "citing,cited\nzzz,1\n"),
+            (1, "citing,cited\n1,zzz\n"),
         ],
-        ids=["long-month", "long-cited", "long-discipline", "year-beyond-int64"],
+        ids=[
+            "long-month", "long-cited", "long-discipline", "year-beyond-int64",
+            "unknown-citing", "unknown-cited",
+        ],
     )
     def test_exits_2_with_line_number(self, fix7_files, tmp_path, capsys, index, text):
         files = list(fix7_files)
@@ -169,6 +236,42 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "line 2" in err
         assert "Traceback" not in err
+
+
+    def test_unknown_edge_id_names_its_line_not_its_index(
+        self, fix7_files, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("citing,cited\n1,2\n\n1,zzz\n", encoding="utf-8")
+        assert _compute((fix7_files[0], bad, fix7_files[2]), tmp_path / "out") == 2
+        assert f"{bad}: line 4: unknown cited id 'zzz'" in capsys.readouterr().err
+
+
+class TestFuzzIngest:
+    """Mutated FIX7 inputs exit 0 or 2 with a message, never a traceback."""
+
+    @given(
+        file=st.integers(min_value=0, max_value=2),
+        line=st.integers(min_value=0, max_value=8),
+        field=st.integers(min_value=0, max_value=2),
+        mutations=st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exits_0_or_2(self, file, line, field, mutations):
+        texts = [NODES_CSV, EDGES_CSV, MEMBERSHIP_CSV]
+        texts[file] = mutate_line(texts[file], line, field, mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = [root / "nodes.csv", root / "edges.csv", root / "membership.csv"]
+            for path, text in zip(paths, texts):
+                path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = _compute(paths, root / "out")
+            assert code in (0, 2)
+            if code == 2:
+                assert err.getvalue().startswith("citeflow: error: ")
+            assert {p.name for p in root.iterdir()} == {p.name for p in paths} | {"out"}
 
 
 class TestSynth:
@@ -221,3 +324,44 @@ class TestSynth:
         )
         assert code == 0
         assert (tmp_path / "result" / "F.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "infeasible", "digests"),
+        [
+            (
+                ["--n", "3000", "--m", "12000", "--k", "7", "--seed", "3"],
+                False,
+                {
+                    "nodes.csv": "912f52d86855fc86282c64e248fff01c"
+                    "84669a31c6ca8bc253405158484b1dec",
+                    "edges.csv": "d3fab4b18b08c5df0bb1861e98daa10a"
+                    "d87a8f250808c1c497460f0dda48a15a",
+                    "membership.csv": "d918d8a149b3ddf44e374a21018d6477"
+                    "1e1c065ee106826f3f05f8980dbab357",
+                },
+            ),
+            (
+                ["--n", "30", "--m", "300", "--k", "3", "--seed", "4",
+                 "--month-span", "2"],
+                True,
+                {
+                    "nodes.csv": "9529f91078c2adaa4ff73864ef5a1a80"
+                    "1f4ba8c856fc9ff261c02775a7606a1a",
+                    "edges.csv": "0be052f9de931f2ec56b302ecb831ef3"
+                    "4ba9f1ce97a94337b99d67e3d141db31",
+                    "membership.csv": "c38a3afa20ea10da69934c458ca0ff06"
+                    "0595fcb5daac1afa1d02ebac0e85455a",
+                },
+            ),
+        ],
+        ids=["month-span-24", "infeasible-target"],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, flags, infeasible, digests):
+        out = tmp_path / "synth"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", *flags, "--out", str(out)]) == 0
+        assert any("infeasible" in str(w.message) for w in caught) == infeasible
+        assert {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        } == digests

@@ -10,6 +10,7 @@ import pytest
 from citeflow import (
     DisciplineNetwork,
     OracleGuardError,
+    NodeTable,
     PubTime,
     SynthSpec,
     build_graph,
@@ -60,13 +61,13 @@ class TestDenseDependence:
 
     def test_edgeless_graph_is_identity(self):
         graph, _ = build_graph(
-            [("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))], []
+            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]), []
         )
         assert np.array_equal(dense_dependence(graph), np.eye(2))
 
     def test_chain_end_to_end(self):
         nodes = [(c, PubTime(2016, 12 - i)) for i, c in enumerate("abc")]
-        graph, _ = build_graph(nodes, [("a", "b"), ("b", "c")])
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), [("a", "b"), ("b", "c")])
         p = dense_dependence(graph)
         assert p[graph.id_index["a"], graph.id_index["c"]] == 1.0
 
@@ -136,7 +137,7 @@ class TestRandomDag:
         a_graph, a_mem = random_dag(SynthSpec(n=120, target_m=500, k=4, seed=42))
         b_graph, b_mem = random_dag(SynthSpec(n=120, target_m=500, k=4, seed=42))
         assert a_graph.node_ids == b_graph.node_ids
-        assert a_graph.times == b_graph.times
+        assert a_graph.time_keys.tobytes() == b_graph.time_keys.tobytes()
         assert a_graph.indptr.tobytes() == b_graph.indptr.tobytes()
         assert a_graph.indices.tobytes() == b_graph.indices.tobytes()
         assert (a_mem.weights != b_mem.weights).nnz == 0
