@@ -24,6 +24,7 @@ from .citegraph import (
     UNCLASSIFIED,
     CitationGraph,
     CiteflowError,
+    EdgeTable,
     IngestError,
     IngestReport,
     InternalInvariantError,

@@ -286,12 +286,16 @@ def cosine_similarity(flow) -> np.ndarray:
     """
     f = np.asarray(flow, dtype=np.float64)
     k = f.shape[0]
-    norms = [math.sqrt(math.fsum(x * x for x in f[:, v])) for v in range(k)]
+    norms = [math.sqrt(math.fsum(squares)) for squares in (f * f).T.tolist()]
     s = np.zeros((k, k), dtype=np.float64)
     for u in range(k):
-        for v in range(u + 1, k):
-            if norms[u] > 0.0 and norms[v] > 0.0:
-                dot = math.fsum(f[:, u] * f[:, v])
+        if not norms[u] > 0.0:
+            continue
+        # Row v - u - 1 holds the terms of the dot product of columns u and v.
+        products = (f[:, u + 1 :] * f[:, u : u + 1]).T.tolist()
+        for v, terms in enumerate(products, start=u + 1):
+            if norms[v] > 0.0:
+                dot = math.fsum(terms)
                 s[u, v] = s[v, u] = min(dot / (norms[u] * norms[v]), 1.0)
     np.fill_diagonal(s, 1.0)
     return s

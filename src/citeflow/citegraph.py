@@ -8,9 +8,11 @@ which guarantees the stored graph is a DAG, collapses duplicate edges,
 and keeps the adjacency in CSR layout sorted by (citing, cited) so
 every downstream computation is reproducible byte for byte.
 
-The node and membership tables are read into columns and checked with
-array masks. Only when a check fails is the file read again row by
-row, to report the first bad row with its line number.
+All three tables are read into columns and checked with array masks.
+A plain table (no quotes, carriage returns or NUL, the same number of
+fields on every line) is split with ``str.split``; any other file goes
+through the csv module. Only when a check fails is the file read again
+row by row, to report the first bad row with its line number.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -96,6 +97,23 @@ class NodeTable:
         return cls(
             ids=tuple(nid for nid, _ in pairs),
             time_keys=np.array([t.key() for _, t in pairs], dtype=np.int64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Citations in file order: the citing and the cited id of each edge."""
+
+    citing: tuple[str, ...]
+    cited: tuple[str, ...]
+
+    @classmethod
+    def from_pairs(cls, pairs) -> EdgeTable:
+        """Table of (citing id, cited id) pairs, in their order."""
+        pairs = list(pairs)
+        return cls(
+            citing=tuple(citing for citing, _ in pairs),
+            cited=tuple(cited for _, cited in pairs),
         )
 
 
@@ -197,29 +215,67 @@ def _row_line(path, header: tuple[str, ...], index: int) -> int:
         return next(islice(rows, index, None))[0]
 
 
+# Bytes that the plain-table reader leaves to the csv module, and the
+# ASCII bytes that str.strip removes (\x1c-\x1f among them).
+_CSV_ONLY = (b'"', b"\r", b"\x00")
+_ASCII_SPACE = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
+    """Stripped fields of the data rows in row-major order, or None.
+
+    Handles a plain table: valid UTF-8 (a leading BOM is dropped)
+    without a quote, carriage return or NUL, whose every line, the
+    header included, holds ``len(header)`` fields of at most
+    ``csv.field_size_limit()`` bytes. Such a file is split exactly as
+    ``_csv_rows`` would read it. Returns None for any other file,
+    blank lines included.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    if any(c in data for c in _CSV_ONLY):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    width = len(header)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if not ends.size or ends.size % width:
+        return None
+    line = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
+    if not np.all(buf[ends].reshape(-1, width) == line):
+        return None
+    if int(np.diff(ends, prepend=-1).max()) - 1 > csv.field_size_limit():
+        return None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    del fields[-1]  # the empty string after the last newline
+    if not data.isascii() or any(c in data for c in _ASCII_SPACE):
+        fields = list(map(str.strip, fields))
+    if fields[:width] != list(header):
+        return None
+    del fields[:width]
+    return fields
+
+
 def _csv_columns(path, header: tuple[str, ...]) -> list[list[str]] | None:
     """Stripped columns of the nonblank data rows, in file order.
 
     Returns None when the file is not a clean table: a wrong header, a
-    row with the wrong number of fields, or a row the csv module
-    rejects. ``_csv_rows`` then names the line.
+    row with the wrong number of fields, a row the csv module rejects,
+    or bytes that are not UTF-8. ``_csv_rows`` then names the line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    fields = _plain_fields(path, header)
+    if fields is None:
         try:
-            first = next(reader, None)
-            rows = list(reader)
-        except csv.Error:
+            fields = [f for _, row in _csv_rows(path, header) for f in row]
+        except (IngestError, UnicodeDecodeError):
             return None
-    if first is None or [h.strip() for h in first] != list(header):
-        return None
-    if set(map(len, rows)) - {len(header)}:
-        rows = [row for row in rows if len(row) > 1 or (row and row[0].strip())]
-        if set(map(len, rows)) - {len(header)}:
-            return None
-    if not rows:
-        return [[] for _ in header]
-    return [list(map(str.strip, column)) for column in zip(*rows)]
+    width = len(header)
+    return [fields[j::width] for j in range(width)]
 
 
 def _disagree(path) -> InternalInvariantError:
@@ -309,26 +365,42 @@ def _check_node_rows(path) -> list[str]:
     return warnings
 
 
-def parse_edges(path) -> list[tuple[str, str]]:
-    """Read the citation table as ordered (citing, cited) id pairs."""
-    edges: list[tuple[str, str]] = []
+def parse_edges(path) -> EdgeTable:
+    """Read the citation table: the citing and cited id of each row.
+
+    Raises:
+        IngestError: bad header, wrong field count, or a missing id,
+            with its line number.
+    """
+    columns = _csv_columns(path, EDGE_HEADER)
+    if columns is None or "" in columns[0] or "" in columns[1]:
+        _check_edge_rows(path)
+        raise _disagree(path)
+    return EdgeTable(citing=tuple(columns[0]), cited=tuple(columns[1]))
+
+
+def _check_edge_rows(path) -> None:
+    """Check the citation table row by row.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
     for lineno, (citing, cited) in _csv_rows(path, EDGE_HEADER):
         if not citing:
             raise IngestError(f"missing citing id on line {lineno}")
         if not cited:
             raise IngestError(f"missing cited id on line {lineno}")
-        edges.append((citing, cited))
-    return edges
 
 
-def build_graph(nodes: NodeTable, edges) -> tuple[CitationGraph, IngestReport]:
+def build_graph(
+    nodes: NodeTable, edges: EdgeTable
+) -> tuple[CitationGraph, IngestReport]:
     """Assemble a CitationGraph, dropping synchronous and duplicate citations.
 
-    ``edges`` is a sequence of (citing id, cited id) pairs. An edge is
-    synchronous when the citing publication's time is the same as, or
-    older than, the cited one's; those edges are discarded (self-loops
-    fall under this rule). Duplicate surviving edges are collapsed and
-    counted.
+    An edge is synchronous when the citing publication's time is the
+    same as, or older than, the cited one's; those edges are discarded
+    (self-loops fall under this rule). Duplicate surviving edges are
+    collapsed and counted.
 
     Raises:
         IngestError: zero nodes.
@@ -341,20 +413,19 @@ def build_graph(nodes: NodeTable, edges) -> tuple[CitationGraph, IngestReport]:
     id_index = dict(zip(ids, range(n)))
     tkey = np.array(nodes.time_keys, dtype=np.int64)
 
-    e_total = len(edges)
+    e_total = len(edges.citing)
     citing, cited = (
         np.fromiter(
-            map(id_index.get, map(itemgetter(end), edges), repeat(-1)),
-            dtype=np.int64,
-            count=e_total,
+            map(id_index.get, column, repeat(-1)), dtype=np.int64, count=e_total
         )
-        for end in (0, 1)
+        for column in (edges.citing, edges.cited)
     )
     unknown = (citing < 0) | (cited < 0)
     if unknown.any():
         pos = int(np.argmax(unknown))
-        end, role = (0, "citing") if citing[pos] < 0 else (1, "cited")
-        raise UnknownIdError(pos, role, edges[pos][end])
+        if citing[pos] < 0:
+            raise UnknownIdError(pos, "citing", edges.citing[pos])
+        raise UnknownIdError(pos, "cited", edges.cited[pos])
 
     keep = tkey[citing] > tkey[cited]
     synchronous = int(e_total - int(keep.sum()))
@@ -461,7 +532,8 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     first-appearance order, with the synthetic label last.
 
     Raises:
-        IngestError: bad header, nonpositive weight, or unknown id.
+        IngestError: bad header, nonpositive weight, unknown id, or
+            weights of one publication that sum beyond the float range.
     """
     columns = _csv_columns(path, MEMBERSHIP_HEADER)
     entries = None if columns is None else _membership_entries(graph, *columns)
@@ -502,7 +574,10 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     # (and overflowing) rows go through math.fsum.
     total = np.bincount(row, weights=value, minlength=graph.n)
     for i in np.flatnonzero((np.diff(indptr) > 2) | ~np.isfinite(total)):
-        total[i] = math.fsum(value[indptr[i] : indptr[i + 1]].tolist())
+        total[i] = _weight_sum(value[indptr[i] : indptr[i + 1]].tolist())
+    if not np.all(np.isfinite(total)):
+        _check_membership_rows(path, graph)
+        raise _disagree(path)
     for i in np.flatnonzero(np.abs(total - 1.0) > 1e-9):
         warnings.append(
             f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
@@ -531,12 +606,23 @@ def _membership_entries(graph, ids, labels, weight_s):
     return node, weight
 
 
+def _weight_sum(values) -> float:
+    """Exactly rounded sum of positive weights; inf beyond the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _check_membership_rows(path, graph: CitationGraph) -> None:
     """Check the classification row by row.
 
     Raises:
         IngestError: the first bad row, with its line number.
     """
+    # Per publication, the weight of each discipline summed in file
+    # order, as parse_membership adds up repeated rows.
+    cells: dict[str, dict[str, float]] = {}
     for lineno, (node_id, label, weight_s) in _csv_rows(path, MEMBERSHIP_HEADER):
         if not node_id or not label:
             raise IngestError(f"{path}: line {lineno}: empty id or discipline")
@@ -553,4 +639,11 @@ def _check_membership_rows(path, graph: CitationGraph) -> None:
         if node_id not in graph.id_index:
             raise IngestError(
                 f"{path}: line {lineno}: membership references unknown id {node_id!r}"
+            )
+        cell = cells.setdefault(node_id, {})
+        cell[label] = cell.get(label, 0.0) + weight
+        if not math.isfinite(_weight_sum(cell.values())):
+            raise IngestError(
+                f"{path}: line {lineno}: weights for {node_id} sum beyond "
+                "the float range"
             )

@@ -21,6 +21,7 @@ from .analytics import DisciplineNetwork
 from .citegraph import (
     CiteflowError,
     CitationGraph,
+    EdgeTable,
     Membership,
     NodeTable,
     PubTime,
@@ -300,9 +301,11 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
             f"generated {chosen.size} edges",
             stacklevel=2,
         )
-    citing = map(ids.__getitem__, (chosen // spec.n).tolist())
-    cited = map(ids.__getitem__, (chosen % spec.n).tolist())
-    graph, _ = build_graph(nodes, list(zip(citing, cited)))
+    edges = EdgeTable(
+        citing=tuple(map(ids.__getitem__, (chosen // spec.n).tolist())),
+        cited=tuple(map(ids.__getitem__, (chosen % spec.n).tolist())),
+    )
+    graph, _ = build_graph(nodes, edges)
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
     two_way = rng.random(spec.n) < 0.2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from citeflow import Membership, NodeTable, PubTime, build_graph
+from citeflow import EdgeTable, Membership, NodeTable, PubTime, build_graph
 
 FIX7_NODES = [
     ("1", PubTime(2016, 5)),
@@ -90,7 +90,9 @@ FIX7_LONGEST = 3
 
 @pytest.fixture
 def fix7_graph():
-    graph, report = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
+    graph, report = build_graph(
+        NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+    )
     assert report.edges_kept == 8
     return graph
 

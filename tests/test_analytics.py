@@ -13,6 +13,7 @@ from citeflow import (
     ENTRYWISE_L1,
     FROBENIUS,
     DisciplineNetwork,
+    EdgeTable,
     NodeTable,
     PubTime,
     betweenness_centrality,
@@ -89,7 +90,9 @@ class TestOrderContributions:
 
     def test_chain_shares(self):
         nodes = [(c, PubTime(2016, 12 - i)) for i, c in enumerate("abc")]
-        graph, _ = build_graph(NodeTable.from_pairs(nodes), [("a", "b"), ("b", "c")])
+        graph, _ = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b"), ("b", "c")])
+        )
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((3, 1)))
@@ -98,7 +101,9 @@ class TestOrderContributions:
         assert contrib.shares == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_edgeless_graph_is_empty(self):
-        graph, _ = build_graph(NodeTable.from_pairs([("a", PubTime(2016, 1))]), [])
+        graph, _ = build_graph(
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+        )
         from scipy import sparse
 
         q = sparse.csr_matrix(np.ones((1, 1)))
@@ -312,6 +317,25 @@ class TestCosineSimilarity:
         s = cosine_similarity(f)
         assert np.array_equal(s, s.T)
         assert s.min() >= 0.0 and s.max() <= 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_fsum_over_numpy_scalars(self, seed):
+        f = _sparse_flow(seed, k=12)
+        assert cosine_similarity(f).tobytes() == _cosine_by_scalars(f).tobytes()
+
+
+def _cosine_by_scalars(f):
+    """Cosine similarity with fsum fed one numpy scalar at a time."""
+    k = f.shape[0]
+    norms = [math.sqrt(math.fsum(x * x for x in f[:, v])) for v in range(k)]
+    s = np.zeros((k, k), dtype=np.float64)
+    for u in range(k):
+        for v in range(u + 1, k):
+            if norms[u] > 0.0 and norms[v] > 0.0:
+                dot = math.fsum(f[:, u] * f[:, v])
+                s[u, v] = s[v, u] = min(dot / (norms[u] * norms[v]), 1.0)
+    np.fill_diagonal(s, 1.0)
+    return s
 
 
 class TestRaoEntropy:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from citeflow import (
     CitationGraph,
+    EdgeTable,
     IngestError,
     InternalInvariantError,
     NodeTable,
@@ -78,7 +80,7 @@ class TestParseNodes:
     def test_year_bound_keeps_month_key_in_int64(self, tmp_path):
         rows = f"a,{MAX_YEAR},12\nb,{-MAX_YEAR},1\n"
         nodes, _ = parse_nodes(_write(tmp_path, "n.csv", "id,year,month\n" + rows))
-        graph, _ = build_graph(nodes, [("a", "b")])
+        graph, _ = build_graph(nodes, EdgeTable.from_pairs([("a", "b")]))
         assert graph.m == 1
         path = _write(tmp_path, "big.csv", f"id,year,month\na,{MAX_YEAR + 1},1\n")
         with pytest.raises(IngestError, match="line 2: year"):
@@ -132,11 +134,13 @@ class TestParseNodes:
 class TestParseEdges:
     def test_basic_pair(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,p2\n")
-        assert parse_edges(path) == [("p1", "p2")]
+        edges = parse_edges(path)
+        assert (edges.citing, edges.cited) == (("p1",), ("p2",))
 
     def test_empty_body(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\n")
-        assert parse_edges(path) == []
+        edges = parse_edges(path)
+        assert (edges.citing, edges.cited) == ((), ())
 
     def test_missing_cited_id(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,\n")
@@ -149,6 +153,114 @@ class TestParseEdges:
             parse_edges(path)
 
 
+# Fields of a plain table, and the flaws a table may carry: a field of
+# spaces, characters that str.strip removes, quotes, NUL, separators or
+# non-ASCII text; one near or over the field-size limit; a line with a
+# field too few or too many; a line end that is CRLF, a lone CR, or a
+# blank or whitespace-only line.
+_PLAIN_FIELD = st.text(alphabet="ab1", max_size=4)
+_FLAW_CHARS = [*"ab1", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+               "\xa0", "\x85", "\u2028", "\ufeff", "é", '"', "\x00", "\r", ",", "\n"]
+_FLAWED_FIELD = st.text(
+    alphabet=st.sampled_from(_FLAW_CHARS), min_size=1, max_size=6
+) | st.sampled_from(["x" * 10, "x" * 11, "é" * 5, "é" * 6])
+_FLAWED_END = st.sampled_from(["\r\n", "\r", "\n\n", "\n \n", "\n\x1c\n", ""])
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb"])
+# csv.field_size_limit() while reading: "discipline" is exactly at it,
+# and the flawed fields fall on both sides of it.
+_FIELD_LIMIT = 10
+
+
+@st.composite
+def _tables(draw):
+    """(header, file bytes) of a plain table with up to three flaws."""
+    header = draw(
+        st.sampled_from(
+            [citegraph.NODE_HEADER, citegraph.EDGE_HEADER, citegraph.MEMBERSHIP_HEADER]
+        )
+    )
+    width = len(header)
+    lines = [list(header)] + draw(
+        st.lists(st.lists(_PLAIN_FIELD, min_size=width, max_size=width), max_size=5)
+    )
+    ends = ["\n"] * len(lines)
+    prefix = draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf"]))
+    bad_bytes = b""
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "field", "drop", "add", "end", "bytes"]))
+        if kind == "field" and lines[i]:
+            j = draw(st.integers(min_value=0, max_value=len(lines[i]) - 1))
+            lines[i][j] = draw(_FLAWED_FIELD)
+        elif kind == "drop" and lines[i]:
+            lines[i].pop()
+        elif kind == "add":
+            lines[i].append(draw(_PLAIN_FIELD))
+        elif kind == "end":
+            ends[i] = draw(_FLAWED_END)
+        else:
+            bad_bytes = draw(_BAD_UTF8)
+    if draw(st.booleans()):
+        ends[-1] = ""
+    data = prefix + "".join(",".join(l) + e for l, e in zip(lines, ends)).encode()
+    if bad_bytes:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + bad_bytes + data[at:]
+    return header, data
+
+
+def _read_both(path, header):
+    """The plain-table fields of ``path`` and those of ``_csv_rows``.
+
+    Either is None when its reader declines or rejects the file.
+    """
+    limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        plain = citegraph._plain_fields(path, header)
+        try:
+            rows = [f for _, row in citegraph._csv_rows(path, header) for f in row]
+        except (IngestError, UnicodeDecodeError):
+            rows = None
+    finally:
+        csv.field_size_limit(limit)
+    return plain, rows
+
+
+class TestPlainTableReader:
+    """The plain-table path declines, or reads what the csv module reads."""
+
+    @given(table=_tables())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_declines_or_matches_csv_rows(self, tmp_path_factory, table):
+        header, data = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_bytes(data)
+        plain, rows = _read_both(path, header)
+        assert plain is None or plain == rows
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "citing,cited\n",
+            "citing,cited\np1,p2\np2,p3",
+            "\ufeffciting,cited\np1,p2\n",
+            " citing , cited\t\n  p1,p2 \n",
+            "citing,cited\n\x1cp1\x1f,\x0bp2\x0c\n",
+            "citing,cited\n\xa0é1,p\u20282\n",
+            "citing,cited\n,\n \t, \n",
+            "citing,cited\n" + "x" * _FIELD_LIMIT + ",p2\n",
+        ],
+        ids=[
+            "empty-body", "no-final-newline", "bom", "spaces", "ascii-separators",
+            "non-ascii", "blank-fields", "field-at-the-limit",
+        ],
+    )
+    def test_plain_tables_take_the_plain_path(self, tmp_path, text):
+        path = _write(tmp_path, "e.csv", text)
+        plain, rows = _read_both(path, citegraph.EDGE_HEADER)
+        assert plain is not None and plain == rows
+
+
 class TestBuildGraph:
     def test_fix7_counts(self, fix7_graph):
         assert fix7_graph.n == 7
@@ -156,26 +268,34 @@ class TestBuildGraph:
 
     def test_synchronous_edge_discarded(self):
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2016, 5))]
-        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "b")])
+        graph, report = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b")])
+        )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_older_citing_discarded(self):
         nodes = [("a", PubTime(2015, 5)), ("b", PubTime(2016, 5))]
-        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "b")])
+        graph, report = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b")])
+        )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_self_loop_counts_as_synchronous(self):
         nodes = [("a", PubTime(2016, 5))]
-        graph, report = build_graph(NodeTable.from_pairs(nodes), [("a", "a")])
+        graph, report = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "a")])
+        )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
 
     def test_duplicate_edge_collapsed(self):
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2015, 5))]
         edges = [("a", "b"), ("a", "b")]
-        graph, report = build_graph(NodeTable.from_pairs(nodes), edges)
+        graph, report = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges)
+        )
         assert graph.m == 1
         assert report.duplicate_edges_discarded == 1
 
@@ -186,7 +306,9 @@ class TestBuildGraph:
             ("c", PubTime(2015, 5)),
         ]
         edges = [("a", "b"), ("a", "b"), ("b", "c"), ("a", "c")]
-        graph, report = build_graph(NodeTable.from_pairs(nodes), edges)
+        graph, report = build_graph(
+            NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges)
+        )
         assert report.edges_read == 4
         assert (
             report.edges_read
@@ -199,11 +321,13 @@ class TestBuildGraph:
     def test_unknown_endpoint_is_fatal(self):
         nodes = [("a", PubTime(2016, 5))]
         with pytest.raises(IngestError, match="unknown cited id"):
-            build_graph(NodeTable.from_pairs(nodes), [("a", "zz")])
+            build_graph(
+                NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "zz")])
+            )
 
     def test_zero_nodes_is_fatal(self):
         with pytest.raises(IngestError, match="zero nodes"):
-            build_graph(NodeTable.from_pairs([]), [])
+            build_graph(NodeTable.from_pairs([]), EdgeTable.from_pairs([]))
 
     def test_every_stored_edge_strictly_decreases_time(self, fix7_graph):
         tkey = fix7_graph.time_keys
@@ -223,12 +347,15 @@ class TestTopologicalOrder:
         assert set(order[-2:]) == {"6", "7"}
 
     def test_single_node(self):
-        graph, _ = build_graph(NodeTable.from_pairs([("a", PubTime(2016, 1))]), [])
+        graph, _ = build_graph(
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+        )
         assert topological_order(graph).tolist() == [0]
 
     def test_isolated_nodes_tie_break_by_id(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("b", PubTime(2016, 1)), ("a", PubTime(2015, 1))]), []
+            NodeTable.from_pairs([("b", PubTime(2016, 1)), ("a", PubTime(2015, 1))]),
+            EdgeTable.from_pairs([]),
         )
         order = [graph.node_ids[i] for i in topological_order(graph)]
         assert order == ["a", "b"]
@@ -258,14 +385,15 @@ class TestLongestPath:
 
     def test_edgeless(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]), []
+            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
+            EdgeTable.from_pairs([]),
         )
         assert longest_path_length(graph) == 0
 
     def test_chain_of_five(self):
         nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(5)]
         edges = [(f"n{i}", f"n{i+1}") for i in range(4)]
-        graph, _ = build_graph(NodeTable.from_pairs(nodes), edges)
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges))
         assert longest_path_length(graph) == 4
 
     @pytest.mark.parametrize("size", [1, 2, 40])
@@ -274,8 +402,10 @@ class TestLongestPath:
             ids=tuple(f"n{i}" for i in range(size)),
             time_keys=np.arange(size, 0, -1, dtype=np.int64),
         )
-        chain, _ = build_graph(nodes, [(f"n{i}", f"n{i + 1}") for i in range(size - 1)])
-        edgeless, _ = build_graph(nodes, [])
+        chain, _ = build_graph(
+            nodes, EdgeTable.from_pairs((f"n{i}", f"n{i + 1}") for i in range(size - 1))
+        )
+        edgeless, _ = build_graph(nodes, EdgeTable.from_pairs([]))
         assert longest_path_length(chain) == _heap_order_dp(chain) == size - 1
         assert longest_path_length(edgeless) == _heap_order_dp(edgeless) == 0
 
@@ -383,7 +513,9 @@ class TestParseMembership:
     )
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_row_by_row_grouping(self, tmp_path_factory, rows):
-        fix7_graph, _ = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
+        fix7_graph, _ = build_graph(
+            NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+        )
         body = "".join(f"{nid},{label},{weight!r}\n" for nid, label, weight in rows)
         text = "id,discipline,weight\n" + body
         path = _write(tmp_path_factory.mktemp("membership"), "m.csv", text)
@@ -401,7 +533,7 @@ class TestParseMembership:
     def test_rows_always_sum_to_one(self, tmp_path_factory, weights):
         tmp_path = tmp_path_factory.mktemp("membership")
         nodes = [("a", PubTime(2016, 1))]
-        graph, _ = build_graph(NodeTable.from_pairs(nodes), [])
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs([]))
         body = "".join(f"a,d{j},{w}\n" for j, w in enumerate(weights))
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, _ = parse_membership(path, graph)
@@ -461,7 +593,9 @@ class TestColumnChecksMatchRowChecks:
     @given(**_mutations)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_membership(self, tmp_path_factory, line, field, names):
-        graph, _ = build_graph(NodeTable.from_pairs(FIX7_NODES), FIX7_EDGES)
+        graph, _ = build_graph(
+            NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+        )
         text = mutate_line(MEMBERSHIP_CSV, line, field, names)
         path = _write(tmp_path_factory.mktemp("membership"), "m.csv", text)
         columns = citegraph._csv_columns(path, citegraph.MEMBERSHIP_HEADER)

@@ -238,6 +238,22 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "rows", ["1,X,1e308\n1,Y,1e308\n", "1,X,1e308\n1,X,1e308\n"],
+        ids=["two-disciplines", "same-discipline-twice"],
+    )
+    def test_weights_beyond_float_range_exit_2(
+        self, fix7_files, tmp_path, capsys, rows
+    ):
+        bad = tmp_path / "membership.csv"
+        bad.write_text("id,discipline,weight\n" + rows, encoding="utf-8")
+        out = tmp_path / "out"
+        assert _compute((*fix7_files[:2], bad), out) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3: weights for 1 sum beyond the float range" in err
+        assert "Traceback" not in err
+        assert not (out / "F.csv").exists()
+
     def test_unknown_edge_id_names_its_line_not_its_index(
         self, fix7_files, tmp_path, capsys
     ):

@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 
 from citeflow import (
+    EdgeTable,
     NodeTable,
     PubTime,
     SynthSpec,
@@ -29,7 +30,7 @@ from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR
 def _chain(k):
     nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(k)]
     edges = [(f"n{i}", f"n{i+1}") for i in range(k - 1)]
-    graph, _ = build_graph(NodeTable.from_pairs(nodes), edges)
+    graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges))
     return graph
 
 
@@ -100,7 +101,8 @@ class TestDependenceStack:
 
     def test_edgeless_graph_stack_is_membership_only(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]), []
+            NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
+            EdgeTable.from_pairs([]),
         )
         q = sparse.csr_matrix(np.array([[1.0], [1.0]]))
         decomp = flow_decomposition(build_operator(graph), q)
@@ -150,7 +152,9 @@ class TestDependenceVector:
         assert r.tolist() == list(FIX7_R_VECTOR)
 
     def test_sink_is_one(self):
-        graph, _ = build_graph(NodeTable.from_pairs([("a", PubTime(2016, 1))]), [])
+        graph, _ = build_graph(
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+        )
         assert dependence_vector(build_operator(graph)).tolist() == [1.0]
 
     def test_chain(self):
