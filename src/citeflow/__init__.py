@@ -45,6 +45,7 @@ from .dependence import (
     build_operator,
     dependence_stack,
     dependence_vector,
+    edge_work,
     flow_decomposition,
     propagate,
     source_dependence,

@@ -9,10 +9,12 @@ and keeps the adjacency in CSR layout sorted by (citing, cited) so
 every downstream computation is reproducible byte for byte.
 
 All three tables are read into columns and checked with array masks.
-A plain table (no quotes, carriage returns or NUL, the same number of
-fields on every line) is split with ``str.split``; any other file goes
-through the csv module. Only when a check fails is the file read again
-row by row, to report the first bad row with its line number.
+A plain table (no quotes or NUL, carriage returns only in CRLF line
+ends, the same number of fields on every line) is split with
+``str.split``; any other file goes through the csv module. Only when a
+check fails is the file read again row by row, to report the first bad
+row with its line number; bytes that are not UTF-8 are reported with
+the line that holds the first of them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import heapq
 import math
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat
 
 import numpy as np
@@ -125,7 +128,8 @@ class CitationGraph:
     neighbours of node ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
     sorted ascending. ``time_keys`` holds each node's month key
     (``PubTime.key()``); every stored edge strictly decreases it, which
-    rules out cycles. Safe for concurrent reads.
+    rules out cycles. ``heights`` is computed on first use and cached.
+    Safe for concurrent reads.
     """
 
     node_ids: tuple[str, ...]
@@ -142,6 +146,37 @@ class CitationGraph:
 
     def out_neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """Length of the longest path that starts at each publication.
+
+        Computed once, by frontier steps over the edges. It starts from
+        all edges, and each step keeps the edges whose cited end still
+        begins a path, that is, still cites through a kept edge. After t
+        steps an edge is kept exactly when a path of t more edges starts
+        at its cited end, so the citing ends of the edges left after t
+        steps are the publications of height t + 1 or more; each step
+        adds one to the height of the citing ends it finds.
+
+        Raises:
+            InternalInvariantError: a step drops no edge, so the edges
+                contain a cycle.
+        """
+        citing = np.repeat(np.arange(self.n), self.outdegree)
+        cited = self.indices
+        begins = np.zeros(self.n, dtype=bool)
+        heights = np.zeros(self.n, dtype=np.int64)
+        while cited.size:
+            begins[:] = False
+            begins[citing] = True
+            heights += begins
+            keep = begins[cited]
+            if keep.all():
+                raise InternalInvariantError("cycle detected in citation graph")
+            citing, cited = citing[keep], cited[keep]
+        heights.setflags(write=False)
+        return heights
 
 
 @dataclass(frozen=True)
@@ -207,6 +242,24 @@ def _csv_rows(path, header: tuple[str, ...]):
                 yield reader.line_num, [f.strip() for f in row]
         except csv.Error as exc:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+
+
+def _decode_error(path) -> IngestError:
+    """The first invalid UTF-8 byte of ``path``, with its line.
+
+    The text reader decodes in chunks and reports a position within
+    its chunk, so the whole file is decoded again to find the byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return IngestError(f"{path}: line {lineno}: {exc}")
+    raise InternalInvariantError(f"{path}: the text reader rejected valid UTF-8")
 
 
 def _row_line(path, header: tuple[str, ...], index: int) -> int:
@@ -217,7 +270,7 @@ def _row_line(path, header: tuple[str, ...], index: int) -> int:
 
 # Bytes that the plain-table reader leaves to the csv module, and the
 # ASCII bytes that str.strip removes (\x1c-\x1f among them).
-_CSV_ONLY = (b'"', b"\r", b"\x00")
+_CSV_ONLY = (b'"', b"\x00")
 _ASCII_SPACE = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
@@ -225,11 +278,11 @@ def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
     """Stripped fields of the data rows in row-major order, or None.
 
     Handles a plain table: valid UTF-8 (a leading BOM is dropped)
-    without a quote, carriage return or NUL, whose every line, the
-    header included, holds ``len(header)`` fields of at most
-    ``csv.field_size_limit()`` bytes. Such a file is split exactly as
-    ``_csv_rows`` would read it. Returns None for any other file,
-    blank lines included.
+    without a quote or NUL, whose every carriage return ends a line
+    (CRLF), and whose every line, the header included, holds
+    ``len(header)`` fields of at most ``csv.field_size_limit()`` bytes.
+    Such a file is split exactly as ``_csv_rows`` would read it.
+    Returns None for any other file, blank lines included.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -237,6 +290,10 @@ def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
         data += b"\n"
     if any(c in data for c in _CSV_ONLY):
         return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
     buf = np.frombuffer(data, dtype=np.uint8)
     width = len(header)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
@@ -272,7 +329,7 @@ def _csv_columns(path, header: tuple[str, ...]) -> list[list[str]] | None:
     if fields is None:
         try:
             fields = [f for _, row in _csv_rows(path, header) for f in row]
-        except (IngestError, UnicodeDecodeError):
+        except IngestError:
             return None
     width = len(header)
     return [fields[j::width] for j in range(width)]
@@ -495,31 +552,15 @@ def topological_order(graph: CitationGraph) -> np.ndarray:
 
 
 def longest_path_length(graph: CitationGraph) -> int:
-    """Maximum number of edges on any directed path.
+    """Maximum number of edges on any directed path: the largest height.
 
-    Counts frontier steps over the edges. It starts from all edges,
-    and each step keeps the edges whose cited end still begins a path,
-    that is, still cites through a kept edge. After t steps an edge is
-    kept exactly when a path of t more edges starts at its cited end,
-    so the number of steps until no edge is left is the answer.
+    The first call on a graph runs the frontier pass behind
+    ``CitationGraph.heights``; later calls read the cached heights.
 
     Raises:
-        InternalInvariantError: a step drops no edge, so the edges
-            contain a cycle.
+        InternalInvariantError: the edges contain a cycle.
     """
-    citing = np.repeat(np.arange(graph.n), graph.outdegree)
-    cited = graph.indices
-    begins = np.zeros(graph.n, dtype=bool)
-    steps = 0
-    while cited.size:
-        begins[:] = False
-        begins[citing] = True
-        keep = begins[cited]
-        if keep.all():
-            raise InternalInvariantError("cycle detected in citation graph")
-        citing, cited = citing[keep], cited[keep]
-        steps += 1
-    return steps
+    return int(graph.heights.max())
 
 
 def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]:

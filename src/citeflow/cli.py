@@ -226,7 +226,12 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
     operator = dependence.build_operator(graph)
     _log(f"operator: longest path {operator.order_bound}")
     decomp = dependence.flow_decomposition(operator, membership, config.max_order)
-    _log(f"dependence: {decomp.order_count} orders beyond the identity")
+    work = dependence.edge_work(operator, decomp.order_count)
+    full = decomp.order_count * graph.m
+    _log(
+        f"dependence: {decomp.order_count} orders beyond the identity, "
+        f"edge work {work} of {full} ({work / full if full else 0.0:.3f})"
+    )
 
     flow = decomp.total
     contrib_l1 = analytics.order_contributions(decomp, analytics.ENTRYWISE_L1)

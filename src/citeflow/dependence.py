@@ -8,6 +8,27 @@ an exactly zero increment rather than an epsilon test. The full n x n
 dependence matrix is never materialized; one pass carries a dense
 n x (k+1) block through the iteration and keeps only its k x k
 projections and the dependence vector.
+
+The pass runs in height order. The height of a publication is the
+length of the longest path that starts there, and the order-t block
+is exactly zero on every publication of height below t. So the rows
+are relabeled by descending height (a stable sort), and order t
+multiplies only the leading corner of the relabeled operator: its
+rows of height t or more, against the previous block, itself a row
+prefix, through the edges whose cited end has height t - 1 or more.
+Each order takes its edges from the previous order's by one filter,
+so the edge work is the sum over edges of height(cited) + 1 rather
+than (orders) x m. The projection onto the disciplines keeps the
+publication order, and sums into ``r`` and the dependence stack run
+over the same row prefix; the result is put back in publication order
+once, at the end.
+
+The result is byte-identical to the full-operator iteration. scipy's
+CSR product accumulates each row sequentially, in stored entry order,
+from +0.0, and every entry keeps its stored order here. The terms
+that are left out are products with an exact +0.0 of the previous
+block, and every term is nonnegative, so adding them leaves each
+partial sum unchanged.
 """
 
 from __future__ import annotations
@@ -27,12 +48,15 @@ class NormalizedCitationOperator:
     """Sparse citation operator with rows normalized by outdegree.
 
     Row ``i`` carries 1/outdegree(i) at every cited neighbour; rows of
-    sink publications are empty. ``order_bound`` is the longest path
-    length in the graph, beyond which all operator powers vanish.
+    sink publications are empty. ``heights[i]`` is the length of the
+    longest path that starts at publication ``i``; ``order_bound``, their
+    maximum, is the longest path length in the graph, beyond which all
+    operator powers vanish.
     """
 
     matrix: sparse.csr_matrix
     order_bound: int
+    heights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -50,24 +74,30 @@ def build_operator(graph: CitationGraph) -> NormalizedCitationOperator:
         (data, graph.indices.copy(), graph.indptr.copy()),
         shape=(graph.n, graph.n),
     )
+    # The first call runs the frontier pass that also yields the heights.
+    order_bound = longest_path_length(graph)
     return NormalizedCitationOperator(
-        matrix=matrix, order_bound=longest_path_length(graph)
+        matrix=matrix, order_bound=order_bound, heights=graph.heights
     )
 
 
-def propagate(operator: NormalizedCitationOperator, matrix):
-    """Apply the operator to an n x k matrix (sparse or dense).
+def propagate(operator, matrix):
+    """Apply the operator to a matrix (sparse or dense).
 
-    Output row ``i`` is the outdegree-weighted mean of the input rows
-    of the publications that ``i`` cites; sink rows come out zero.
-    Each output row is one sequential accumulation over the cited
-    neighbours in index order, so sparse and dense inputs give bitwise
-    identical values.
+    ``operator`` is a NormalizedCitationOperator, or a CSR corner of its
+    matrix such as the engine's per-order step; ``matrix`` has one row
+    per operator column. Output row ``i`` is the outdegree-weighted mean
+    of the input rows of the publications that ``i`` cites; sink rows
+    come out zero. Each output row is one sequential accumulation over
+    the cited neighbours in stored order, so sparse and dense inputs
+    give bitwise identical values.
     """
-    w = operator.matrix
-    if matrix.shape[0] != w.shape[0]:
+    w = operator
+    if isinstance(w, NormalizedCitationOperator):
+        w = w.matrix
+    if matrix.shape[0] != w.shape[1]:
         raise ValueError(
-            f"matrix has {matrix.shape[0]} rows, operator expects {w.shape[0]}"
+            f"matrix has {matrix.shape[0]} rows, operator expects {w.shape[1]}"
         )
     out = w @ matrix
     if sparse.issparse(out):
@@ -93,16 +123,62 @@ def _order_limit(operator: NormalizedCitationOperator, max_order) -> int:
     return limit
 
 
-def _powers(operator: NormalizedCitationOperator, block: np.ndarray, limit: int):
+def edge_work(operator: NormalizedCitationOperator, orders: int) -> int:
+    """Edge products made by the first ``orders`` orders of the iteration.
+
+    Order t runs over the edges whose cited end has height t - 1 or
+    more, so an edge takes part in min(height(cited) + 1, ``orders``)
+    orders. The full-operator iteration makes ``orders`` x m.
+    """
+    cited = operator.heights[operator.matrix.indices]
+    return int(np.minimum(cited + 1, orders).sum())
+
+
+def _height_order(operator: NormalizedCitationOperator):
+    """Publications by descending height, ties in index order, and the
+    position of each publication in that order."""
+    order = np.argsort(-operator.heights, kind="stable")
+    position = np.empty(operator.n, dtype=operator.matrix.indices.dtype)
+    position[order] = np.arange(operator.n)
+    return order, position
+
+
+def _corner(matrix: sparse.csr_matrix, rows: int, columns: int) -> sparse.csr_matrix:
+    """The leading ``rows`` x ``columns`` corner of a CSR matrix.
+
+    Entries keep their stored order. One filter over the entries; every
+    entry in a row past ``rows`` must lie in a column past ``columns``.
+    """
+    keep = np.flatnonzero(matrix.indices < columns)
+    indptr = keep.searchsorted(matrix.indptr[: rows + 1]).astype(matrix.indptr.dtype)
+    return sparse.csr_matrix(
+        (matrix.data.take(keep), matrix.indices.take(keep), indptr),
+        shape=(rows, columns),
+    )
+
+
+def _powers(operator: NormalizedCitationOperator, order, position, block, limit: int):
     """Yield ``block`` and its images under operator powers 1..``limit``.
 
-    Stops early, before yielding it, at the first exactly zero block,
-    which nilpotency guarantees within ``order_bound`` + 1 steps. No
-    earlier block is kept, so at most two are alive at once.
+    Works in the height order of ``_height_order``: row ``r`` of
+    ``block`` is publication ``order[r]``. The order-t image is yielded
+    as its leading rows, those of height t or more; every later row is
+    exactly zero. Stops early, before yielding it, at the first exactly
+    zero block, which nilpotency guarantees within ``order_bound`` + 1
+    steps. No earlier block is kept, so at most two are alive at once.
     """
+    w = operator.matrix
+    # at_least[t]: how many publications have height t or more.
+    at_least = np.cumsum(np.bincount(operator.heights)[::-1])[::-1]
+    step = sparse.csr_matrix(
+        (w.data, position[w.indices], w.indptr), shape=w.shape
+    )[order]
     yield block
-    for _ in range(limit):
-        block = propagate(operator, block)
+    for t in range(1, min(limit, operator.order_bound) + 1):
+        # Edges whose cited end has height t - 1 or more, from the
+        # previous order's edges; their citing ends have height >= t.
+        step = _corner(step, int(at_least[t]), int(at_least[t - 1]))
+        block = propagate(step, block)
         if not block.any():
             return
         yield block
@@ -118,10 +194,12 @@ def dependence_stack(
     dependence.
     """
     q = _membership_matrix(membership, operator.n)
+    order, position = _height_order(operator)
     total = np.zeros(q.shape, dtype=np.float64)
-    for block in _powers(operator, q.toarray(), _order_limit(operator, max_order)):
-        total += block
-    return total
+    limit = _order_limit(operator, max_order)
+    for block in _powers(operator, order, position, q.toarray()[order], limit):
+        total[: len(block)] += block
+    return total[position]
 
 
 def dependence_vector(
@@ -195,13 +273,18 @@ def flow_decomposition(
     q = _membership_matrix(membership, operator.n)
     k = q.shape[1]
     limit = _order_limit(operator, max_order)
-    unit = np.ones((operator.n, 1), dtype=np.float64)
+    order, position = _height_order(operator)
+    block = np.hstack([q.toarray(), np.ones((operator.n, 1))])[order]
+    # Q^T with its columns in height order and its entries in publication
+    # order, cut to the block's rows at each order.
     qt = q.T.tocsr()
+    qt = sparse.csr_matrix((qt.data, position[qt.indices], qt.indptr), shape=qt.shape)
     flows: list[np.ndarray] = []
     r = np.zeros(operator.n, dtype=np.float64)
-    for block in _powers(operator, np.hstack([q.toarray(), unit]), limit):
+    for block in _powers(operator, order, position, block, limit):
+        qt = _corner(qt, k, len(block))
         flows.append((qt @ block)[:, :k])
-        r += block[:, k]
+        r[: len(block)] += block[:, k]
     total = flows[0]
     for order_flow in flows[1:]:
         total = total + order_flow
@@ -210,6 +293,6 @@ def flow_decomposition(
         identity_flow=flows[0],
         order_flows=tuple(flows[1:]),
         total=total,
-        r=r,
+        r=r[position],
         complete=order_count < limit or order_count >= operator.order_bound,
     )

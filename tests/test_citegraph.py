@@ -21,6 +21,7 @@ from citeflow import (
     SynthSpec,
     UNCLASSIFIED,
     build_graph,
+    build_operator,
     longest_path_length,
     parse_edges,
     parse_membership,
@@ -219,7 +220,7 @@ def _read_both(path, header):
         plain = citegraph._plain_fields(path, header)
         try:
             rows = [f for _, row in citegraph._csv_rows(path, header) for f in row]
-        except (IngestError, UnicodeDecodeError):
+        except IngestError:
             rows = None
     finally:
         csv.field_size_limit(limit)
@@ -249,16 +250,22 @@ class TestPlainTableReader:
             "citing,cited\n\xa0é1,p\u20282\n",
             "citing,cited\n,\n \t, \n",
             "citing,cited\n" + "x" * _FIELD_LIMIT + ",p2\n",
+            "citing,cited\r\np1,p2\r\n p2 ,p3\r\n",
         ],
         ids=[
             "empty-body", "no-final-newline", "bom", "spaces", "ascii-separators",
-            "non-ascii", "blank-fields", "field-at-the-limit",
+            "non-ascii", "blank-fields", "field-at-the-limit", "crlf",
         ],
     )
     def test_plain_tables_take_the_plain_path(self, tmp_path, text):
         path = _write(tmp_path, "e.csv", text)
         plain, rows = _read_both(path, citegraph.EDGE_HEADER)
         assert plain is not None and plain == rows
+
+    def test_lone_carriage_return_takes_the_csv_path(self, tmp_path):
+        path = _write(tmp_path, "e.csv", "citing,cited\r\np1\rx,p2\r\n")
+        plain, rows = _read_both(path, citegraph.EDGE_HEADER)
+        assert plain is None and rows is None  # the csv module ends a row at \r
 
 
 class TestBuildGraph:
@@ -428,6 +435,14 @@ class TestLongestPath:
             warnings.simplefilter("ignore", UserWarning)  # infeasible targets
             graph, _ = random_dag(spec)
         assert longest_path_length(graph) == _heap_order_dp(graph)
+        assert graph.heights.tolist() == _heap_order_heights(graph).tolist()
+        assert build_operator(graph).order_bound == int(graph.heights.max())
+
+    def test_heights_are_computed_once(self, fix7_graph):
+        assert longest_path_length(fix7_graph) == FIX7_LONGEST
+        assert fix7_graph.heights is fix7_graph.heights
+        assert build_operator(fix7_graph).heights is fix7_graph.heights
+        assert fix7_graph.heights.tolist() == [3, 2, 2, 1, 1, 0, 0]
 
     def test_cycle_is_an_internal_error(self):
         graph = CitationGraph(
@@ -443,14 +458,19 @@ class TestLongestPath:
             longest_path_length(graph)
 
 
-def _heap_order_dp(graph):
-    """Longest path by DP over the heap topological order, node by node."""
+def _heap_order_heights(graph):
+    """Height of each node by DP over the heap topological order."""
     dist = np.zeros(graph.n, dtype=np.int64)
     for u in topological_order(graph)[::-1]:
         cited = graph.out_neighbors(u)
         if cited.size:
             dist[u] = 1 + dist[cited].max()
-    return int(dist.max())
+    return dist
+
+
+def _heap_order_dp(graph):
+    """Longest path by DP over the heap topological order, node by node."""
+    return int(_heap_order_heights(graph).max())
 
 
 class TestParseMembership:

@@ -141,6 +141,23 @@ class TestCompute:
         assert len(list(out.iterdir())) == files
         assert f"wrote {files} files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("extra", "logged"),
+        [
+            ((), "3 orders beyond the identity, edge work 15 of 24 (0.625)"),
+            (
+                ("--max-order", "1"),
+                "1 orders beyond the identity, edge work 8 of 8 (1.000)",
+            ),
+        ],
+        ids=["auto", "max-order-1"],
+    )
+    def test_logs_edge_work(self, fix7_files, tmp_path, capsys, extra, logged):
+        out = tmp_path / "out"
+        assert _compute(fix7_files, out, *extra) == 0
+        assert f"dependence: {logged}" in capsys.readouterr().err
+        assert not any("edge work" in p.read_text() for p in out.iterdir())
+
     def test_bad_percentiles_exit_2(self, fix7_files, tmp_path):
         code = _compute(fix7_files, tmp_path / "x", "--hi-pct", "10", "--lo-pct", "90")
         assert code == 2
@@ -253,6 +270,21 @@ class TestMalformedInput:
         assert f"{bad}: line 3: weights for 1 sum beyond the float range" in err
         assert "Traceback" not in err
         assert not (out / "F.csv").exists()
+
+    @pytest.mark.parametrize("filler", [0, 2000], ids=["under-8-kib", "over-8-kib"])
+    def test_invalid_utf8_names_file_and_line(
+        self, fix7_files, tmp_path, capsys, filler
+    ):
+        head = (NODES_CSV + "".join(f"x{i},2010,1\n" for i in range(filler))).encode()
+        bad = tmp_path / "nodes.csv"
+        bad.write_bytes(head + b"y\xff,2010,1\n")
+        lineno = head.count(b"\n") + 1
+        assert (len(head) > 8192) == (filler > 0)
+        assert _compute((bad, *fix7_files[1:]), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"citeflow: error: {bad}: line {lineno}: ")
+        assert f"byte 0xff in position {len(head) + 1}:" in err
+        assert "Traceback" not in err
 
     def test_unknown_edge_id_names_its_line_not_its_index(
         self, fix7_files, tmp_path, capsys

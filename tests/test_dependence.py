@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from citeflow import (
+    AUTO,
     EdgeTable,
     NodeTable,
     PubTime,
@@ -18,6 +22,7 @@ from citeflow import (
     dense_dependence,
     dependence_stack,
     dependence_vector,
+    edge_work,
     enumerate_dependence_row,
     flow_decomposition,
     propagate,
@@ -25,6 +30,39 @@ from citeflow import (
     source_dependence,
 )
 from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR
+
+
+def _full_powers(op, block, limit):
+    """The full-operator iteration: every order runs all n rows through
+    all m edges, until ``limit`` or the first exactly zero block."""
+    yield block
+    for _ in range(limit):
+        block = op.matrix @ block
+        if not block.any():
+            return
+        yield block
+
+
+def _full_flows(op, q, limit):
+    """Order flows (identity first), total flow and r, by the full iteration."""
+    k = q.shape[1]
+    qt = q.T.tocsr()
+    flows, r = [], np.zeros(op.n)
+    start = np.hstack([q.toarray(), np.ones((op.n, 1))])
+    for block in _full_powers(op, start, limit):
+        flows.append((qt @ block)[:, :k])
+        r += block[:, k]
+    total = flows[0]
+    for order_flow in flows[1:]:
+        total = total + order_flow
+    return flows, total, r
+
+
+def _full_stack(op, q, limit):
+    total = np.zeros(q.shape)
+    for block in _full_powers(op, q.toarray(), limit):
+        total += block
+    return total
 
 
 def _chain(k):
@@ -268,3 +306,64 @@ class TestOracleAgreement:
             for v in range(graph.n):
                 expected = float(exact.get(v, 0))
                 assert abs(p[u, v] - expected) <= 1e-9
+
+
+class TestHeightOrderedIteration:
+    """The height-ordered iteration against the full-operator one, byte for byte."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=80),
+        per_node=st.integers(min_value=0, max_value=8),
+        month_span=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=5),
+        which=st.sampled_from(["1", "2", "L", "L+3", "auto"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_full_operator_iteration(
+        self, seed, n, per_node, month_span, k, which
+    ):
+        spec = SynthSpec(
+            n=n,
+            target_m=min(per_node * n, n * (n - 1) // 2),
+            k=k,
+            seed=seed,
+            month_span=month_span,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # infeasible targets
+            graph, membership = random_dag(spec)
+        op = build_operator(graph)
+        bound = op.order_bound
+        max_order = {"1": 1, "2": 2, "L": bound, "L+3": bound + 3, "auto": AUTO}[which]
+        limit = bound if max_order == AUTO else max_order
+        q = membership.weights
+
+        flows, total, r = _full_flows(op, q, limit)
+        decomp = flow_decomposition(op, membership, max_order)
+        assert decomp.order_count == len(flows) - 1
+        assert decomp.identity_flow.tobytes() == flows[0].tobytes()
+        for got, want in zip(decomp.order_flows, flows[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert decomp.total.tobytes() == total.tobytes()
+        assert decomp.r.tobytes() == r.tobytes()
+        stack = dependence_stack(op, membership, max_order)
+        assert stack.tobytes() == _full_stack(op, q, limit).tobytes()
+        ones = sparse.csr_matrix(np.ones((graph.n, 1)))
+        vector = dependence_vector(op, max_order)
+        assert vector.tobytes() == _full_stack(op, ones, limit)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_edge_work_counts_the_edges_of_each_order(self, seed):
+        graph, _ = random_dag(SynthSpec(n=150, target_m=600, k=2, seed=seed))
+        op = build_operator(graph)
+        cited = graph.heights[graph.indices]
+        for orders in (0, 1, 2, op.order_bound, op.order_bound + 3):
+            per_order = [int((cited >= t - 1).sum()) for t in range(1, orders + 1)]
+            assert edge_work(op, orders) == sum(per_order)
+        assert edge_work(op, op.order_bound) <= op.order_bound * graph.m
+
+    def test_fix7_edge_work(self, fix7_graph):
+        op = build_operator(fix7_graph)
+        assert edge_work(op, 3) == 15
+        assert edge_work(op, 1) == fix7_graph.m
