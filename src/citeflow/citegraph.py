@@ -8,24 +8,26 @@ which guarantees the stored graph is a DAG, collapses duplicate edges,
 and keeps the adjacency in CSR layout sorted by (citing, cited) so
 every downstream computation is reproducible byte for byte.
 
-All three tables are read into columns and checked with array masks.
-A plain table (no quotes or NUL, carriage returns only in CRLF line
-ends, the same number of fields on every line) is split with
-``str.split``; any other file goes through the csv module. Only when a
-check fails is the file read again row by row, to report the first bad
-row with its line number; bytes that are not UTF-8 are reported with
-the line that holds the first of them.
+Each table is read once, into columns with the line of each row. A
+plain table (no quotes or NUL, carriage returns only in CRLF line ends,
+the same number of fields on every line) is split with ``str.split``;
+any other file goes through the csv module. Each input rule is a mask
+over whole columns with its message: the first row a mask rejects is
+reported with its line, ahead of any reader error (a wrong field count,
+bytes that are not UTF-8) that comes after it.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
-from contextlib import closing
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -53,17 +55,17 @@ class InternalInvariantError(CiteflowError):
 class UnknownIdError(IngestError):
     """An edge names a publication that the node table lacks."""
 
-    def __init__(self, edge: int, role: str, node_id: str) -> None:
+    def __init__(self, edge: int, role: str, node_id: str, line: int) -> None:
         super().__init__(f"edge {edge + 1}: unknown {role} id {node_id!r}")
         self.edge = edge
         self.role = role
         self.node_id = node_id
+        self.line = line
 
     def at(self, path) -> IngestError:
         """The same problem, located at its line in the edge file ``path``."""
-        lineno = _row_line(path, EDGE_HEADER, self.edge)
         return IngestError(
-            f"{path}: line {lineno}: unknown {self.role} id {self.node_id!r}"
+            f"{path}: line {self.line}: unknown {self.role} id {self.node_id!r}"
         )
 
 
@@ -105,18 +107,20 @@ class NodeTable:
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
-    """Citations in file order: the citing and the cited id of each edge."""
+    """Citations in file order: the citing and cited id and the line of each."""
 
     citing: tuple[str, ...]
     cited: tuple[str, ...]
+    lines: Sequence[int]
 
     @classmethod
     def from_pairs(cls, pairs) -> EdgeTable:
-        """Table of (citing id, cited id) pairs, in their order."""
+        """Table of (citing id, cited id) pairs, the i-th put on line i + 2."""
         pairs = list(pairs)
         return cls(
             citing=tuple(citing for citing, _ in pairs),
             cited=tuple(cited for _, cited in pairs),
+            lines=range(2, len(pairs) + 2),
         )
 
 
@@ -215,8 +219,8 @@ class Membership:
         return np.asarray(self.weights.sum(axis=0)).ravel()
 
 
-def _csv_rows(path, header: tuple[str, ...]):
-    """Yield (line number, stripped fields) for each nonblank data row.
+def _csv_rows(path, header: tuple[str, ...], data: bytes):
+    """Yield (line number, stripped fields) for each nonblank data row of ``data``.
 
     The line number is that of the row's last physical line, so it
     stays right after a quoted field that spans lines.
@@ -225,7 +229,7 @@ def _csv_rows(path, header: tuple[str, ...]):
         IngestError: wrong header, wrong field count, or a row the csv
             module rejects (such as an overlong field).
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
@@ -243,17 +247,15 @@ def _csv_rows(path, header: tuple[str, ...]):
         except csv.Error as exc:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
-            raise _decode_error(path) from None
+            raise _decode_error(path, data) from None
 
 
-def _decode_error(path) -> IngestError:
-    """The first invalid UTF-8 byte of ``path``, with its line.
+def _decode_error(path, data: bytes) -> IngestError:
+    """The first invalid UTF-8 byte of ``data``, the file ``path``, with its line.
 
     The text reader decodes in chunks and reports a position within
     its chunk, so the whole file is decoded again to find the byte.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -262,20 +264,14 @@ def _decode_error(path) -> IngestError:
     raise InternalInvariantError(f"{path}: the text reader rejected valid UTF-8")
 
 
-def _row_line(path, header: tuple[str, ...], index: int) -> int:
-    """Physical line number of the data row at 0-based ``index``."""
-    with closing(_csv_rows(path, header)) as rows:
-        return next(islice(rows, index, None))[0]
-
-
 # Bytes that the plain-table reader leaves to the csv module, and the
 # ASCII bytes that str.strip removes (\x1c-\x1f among them).
 _CSV_ONLY = (b'"', b"\x00")
 _ASCII_SPACE = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
-def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
-    """Stripped fields of the data rows in row-major order, or None.
+def _plain_fields(data: bytes, header: tuple[str, ...]) -> list[str] | None:
+    """Stripped fields of the data rows of ``data`` in row-major order, or None.
 
     Handles a plain table: valid UTF-8 (a leading BOM is dropped)
     without a quote or NUL, whose every carriage return ends a line
@@ -284,8 +280,6 @@ def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
     Such a file is split exactly as ``_csv_rows`` would read it.
     Returns None for any other file, blank lines included.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     if data and not data.endswith(b"\n"):
         data += b"\n"
     if any(c in data for c in _CSV_ONLY):
@@ -318,27 +312,91 @@ def _plain_fields(path, header: tuple[str, ...]) -> list[str] | None:
     return fields
 
 
-def _csv_columns(path, header: tuple[str, ...]) -> list[list[str]] | None:
-    """Stripped columns of the nonblank data rows, in file order.
+@dataclass(frozen=True)
+class _Table:
+    """Stripped columns of the data rows read from ``path``, their lines,
+    and the reader's error after the last row it read, if any."""
 
-    Returns None when the file is not a clean table: a wrong header, a
-    row with the wrong number of fields, a row the csv module rejects,
-    or bytes that are not UTF-8. ``_csv_rows`` then names the line.
+    path: object
+    columns: list[list[str]]
+    lines: Sequence[int]
+    error: IngestError | None
+
+    def at(self, row) -> str:
+        return f"{self.path}: line {self.lines[row]}: "
+
+    def check(self, rules) -> None:
+        """Raise the error of the first row that a rule rejects, else ``error``.
+
+        A rule pairs a row mask (False when no row fails) with a function
+        of the row that words its error; the first rule a row fails wins.
+        """
+        failed = [(np.argmax(m), k) for k, (m, _) in enumerate(rules) if np.any(m)]
+        if failed:
+            row, k = min(failed)
+            raise IngestError(rules[k][1](int(row)))
+        if self.error is not None:
+            raise self.error
+
+
+def _csv_columns(path, header: tuple[str, ...]) -> _Table:
+    """The nonblank data rows of ``path`` as columns, in file order.
+
+    The file is read once. A plain table is split whole; its data row i
+    is on line i + 2. Any other file is read by ``_csv_rows`` up to its
+    first failure, keeping the rows before it, so that a bad row among
+    them is reported first.
     """
-    fields = _plain_fields(path, header)
-    if fields is None:
-        try:
-            fields = [f for _, row in _csv_rows(path, header) for f in row]
-        except IngestError:
-            return None
+    with open(path, "rb") as fh:
+        data = fh.read()
     width = len(header)
-    return [fields[j::width] for j in range(width)]
+    fields = _plain_fields(data, header)
+    error = None
+    if fields is not None:
+        lines = range(2, len(fields) // width + 2)
+    else:
+        fields, lines = [], []
+        try:
+            for lineno, row in _csv_rows(path, header, data):
+                lines.append(lineno)
+                fields += row
+        except IngestError as exc:
+            error = exc
+    return _Table(path, [fields[j::width] for j in range(width)], lines, error)
 
 
-def _disagree(path) -> InternalInvariantError:
-    return InternalInvariantError(
-        f"{path}: the column checks rejected a table that the row checks accept"
-    )
+def _blank(column) -> np.ndarray | bool:
+    """Mask of the empty fields of ``column``; False when it has none."""
+    return "" in column and np.fromiter(map(operator.not_, column), bool, len(column))
+
+
+def _repeats(column) -> np.ndarray | bool:
+    """Mask of the fields an earlier row already holds; False when none does."""
+    if len(set(column)) == len(column):
+        return False
+    seen: set[str] = set()  # seen.add returns None, which reads False
+    return np.array([f in seen or seen.add(f) for f in column], dtype=bool)
+
+
+def _numbers(convert, strings, dtype) -> tuple[np.ndarray, np.ndarray | bool]:
+    """``convert`` of each string as a ``dtype`` array, and the mask of the
+    strings it rejects (False when none). Only when converting all at once
+    fails are they taken one by one: a rejected string reads 0, and an
+    integer beyond int64 is clipped to it, so range checks still hold."""
+    try:
+        return np.fromiter(map(convert, strings), dtype, len(strings)), False
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(strings), dtype=dtype)
+    rejected = np.zeros(len(strings), dtype=bool)
+    for i, s in enumerate(strings):
+        try:
+            values[i] = convert(s)
+        except ValueError:
+            rejected[i] = True
+        except OverflowError:
+            values[i] = np.iinfo(dtype).max if int(s) > 0 else np.iinfo(dtype).min
+    return values, rejected
 
 
 def parse_nodes(path) -> tuple[NodeTable, list[str]]:
@@ -348,105 +406,55 @@ def parse_nodes(path) -> tuple[NodeTable, list[str]]:
     in file order. A blank month defaults to January with a warning.
 
     Raises:
-        IngestError: bad header, duplicate id, non-integer year, year
-            beyond ``MAX_YEAR``, or month outside 1..12.
+        IngestError: bad header, wrong field count, or the first row
+            with an empty id, a duplicate id, a non-integer year, a
+            year beyond ``MAX_YEAR``, a non-integer month, or a month
+            outside 1..12, with its line number.
     """
-    columns = _csv_columns(path, NODE_HEADER)
-    nodes = None if columns is None else _node_table(*columns)
-    if nodes is None:
-        _check_node_rows(path)
-        raise _disagree(path)
-    warnings = _check_node_rows(path) if "" in columns[2] else []
-    return nodes, warnings
-
-
-def _node_table(ids, year_s, month_s) -> NodeTable | None:
-    """The node table of the columns, or None when a row fails a check."""
-    if "" in ids or len(set(ids)) != len(ids):
-        return None
-    try:
-        years = np.fromiter(map(int, year_s), dtype=np.int64, count=len(ids))
-        months = np.fromiter(
-            map(int, [s or "1" for s in month_s]), dtype=np.int64, count=len(ids)
-        )
-    except (ValueError, OverflowError):
-        return None
-    if np.any((years > MAX_YEAR) | (years < -MAX_YEAR) | (months < 1) | (months > 12)):
-        return None
-    return NodeTable(ids=tuple(ids), time_keys=years * 12 + months - 1)
-
-
-def _check_node_rows(path) -> list[str]:
-    """Check the publication table row by row.
-
-    Returns the blank-month warnings, each with its line number.
-
-    Raises:
-        IngestError: the first bad row, with its line number.
-    """
-    warnings: list[str] = []
-    seen: dict[str, int] = {}
-    for lineno, (node_id, year_s, month_s) in _csv_rows(path, NODE_HEADER):
-        if not node_id:
-            raise IngestError(f"{path}: line {lineno}: empty node id")
-        if node_id in seen:
-            raise IngestError(
-                f"duplicate node id {node_id} (lines {seen[node_id]} and {lineno})"
-            )
-        try:
-            year = int(year_s)
-        except ValueError:
-            raise IngestError(
-                f"{path}: line {lineno}: year {year_s!r} is not an integer"
-            ) from None
-        if abs(year) > MAX_YEAR:
-            raise IngestError(
-                f"{path}: line {lineno}: year {year} outside -{MAX_YEAR}..{MAX_YEAR}"
-            )
-        if not month_s:
-            warnings.append(
-                f"node {node_id}: blank month defaults to 1 (line {lineno})"
-            )
-        else:
-            try:
-                month = int(month_s)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: line {lineno}: month {month_s!r} is not an integer"
-                ) from None
-            if not 1 <= month <= 12:
-                raise IngestError(
-                    f"{path}: line {lineno}: month {month} outside 1..12"
-                )
-        seen[node_id] = lineno
-    return warnings
+    table = _csv_columns(path, NODE_HEADER)
+    ids, year_s, month_s = table.columns
+    years, year_bad = _numbers(int, year_s, np.int64)
+    months, month_bad = _numbers(int, [s or "1" for s in month_s], np.int64)
+    at, lines = table.at, table.lines
+    table.check([
+        (_blank(ids), lambda i: f"{at(i)}empty node id"),
+        (
+            _repeats(ids),
+            lambda i: f"duplicate node id {ids[i]} "
+            f"(lines {lines[ids.index(ids[i])]} and {lines[i]})",
+        ),
+        (year_bad, lambda i: f"{at(i)}year {year_s[i]!r} is not an integer"),
+        (
+            (years > MAX_YEAR) | (years < -MAX_YEAR),
+            lambda i: f"{at(i)}year {int(year_s[i])} outside -{MAX_YEAR}..{MAX_YEAR}",
+        ),
+        (month_bad, lambda i: f"{at(i)}month {month_s[i]!r} is not an integer"),
+        (
+            (months < 1) | (months > 12),
+            lambda i: f"{at(i)}month {int(month_s[i])} outside 1..12",
+        ),
+    ])
+    warnings = [
+        f"node {ids[i]}: blank month defaults to 1 (line {lines[i]})"
+        for i in np.flatnonzero(_blank(month_s))
+    ]
+    return NodeTable(ids=tuple(ids), time_keys=years * 12 + months - 1), warnings
 
 
 def parse_edges(path) -> EdgeTable:
     """Read the citation table: the citing and cited id of each row.
 
     Raises:
-        IngestError: bad header, wrong field count, or a missing id,
-            with its line number.
+        IngestError: bad header, wrong field count, or the first row
+            with a missing citing or cited id, with its line number.
     """
-    columns = _csv_columns(path, EDGE_HEADER)
-    if columns is None or "" in columns[0] or "" in columns[1]:
-        _check_edge_rows(path)
-        raise _disagree(path)
-    return EdgeTable(citing=tuple(columns[0]), cited=tuple(columns[1]))
-
-
-def _check_edge_rows(path) -> None:
-    """Check the citation table row by row.
-
-    Raises:
-        IngestError: the first bad row, with its line number.
-    """
-    for lineno, (citing, cited) in _csv_rows(path, EDGE_HEADER):
-        if not citing:
-            raise IngestError(f"missing citing id on line {lineno}")
-        if not cited:
-            raise IngestError(f"missing cited id on line {lineno}")
+    table = _csv_columns(path, EDGE_HEADER)
+    citing, cited = table.columns
+    table.check([
+        (_blank(citing), lambda i: f"missing citing id on line {table.lines[i]}"),
+        (_blank(cited), lambda i: f"missing cited id on line {table.lines[i]}"),
+    ])
+    return EdgeTable(citing=tuple(citing), cited=tuple(cited), lines=table.lines)
 
 
 def build_graph(
@@ -481,8 +489,8 @@ def build_graph(
     if unknown.any():
         pos = int(np.argmax(unknown))
         if citing[pos] < 0:
-            raise UnknownIdError(pos, "citing", edges.citing[pos])
-        raise UnknownIdError(pos, "cited", edges.cited[pos])
+            raise UnknownIdError(pos, "citing", edges.citing[pos], edges.lines[pos])
+        raise UnknownIdError(pos, "cited", edges.cited[pos], edges.lines[pos])
 
     keep = tkey[citing] > tkey[cited]
     synchronous = int(e_total - int(keep.sum()))
@@ -573,19 +581,47 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     first-appearance order, with the synthetic label last.
 
     Raises:
-        IngestError: bad header, nonpositive weight, unknown id, or
-            weights of one publication that sum beyond the float range.
+        IngestError: bad header, wrong field count, or the first row
+            with an empty id or discipline, a weight that is not a
+            number, a weight that is not positive and finite, an unknown
+            id, or the weights of one publication summing beyond the
+            float range, with its line number.
+        InternalInvariantError: the sums overflow, but no row does.
     """
-    columns = _csv_columns(path, MEMBERSHIP_HEADER)
-    entries = None if columns is None else _membership_entries(graph, *columns)
-    if entries is None:
-        _check_membership_rows(path, graph)
-        raise _disagree(path)
-    node, weight = entries
-    label_order = list(dict.fromkeys(columns[1]))
+    table = _csv_columns(path, MEMBERSHIP_HEADER)
+    ids, labels, weight_s = table.columns
+    weight, not_number = _numbers(float, weight_s, np.float64)
+    positive = (weight > 0) & np.isfinite(weight)
+    node = np.fromiter(
+        map(graph.id_index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+    )
+    at = table.at
+    rules = [
+        (_blank(ids) | _blank(labels), lambda i: f"{at(i)}empty id or discipline"),
+        (not_number, lambda i: f"{at(i)}weight {weight_s[i]!r} is not a number"),
+        (~positive, lambda i: f"{at(i)}nonpositive weight {weight_s[i]} for {ids[i]}"),
+        (node < 0, lambda i: f"{at(i)}membership references unknown id {ids[i]!r}"),
+    ]
+    if table.error is None and not any(np.any(mask) for mask, _ in rules):
+        result = _normalized(graph, node, labels, weight)
+        if result is not None:
+            return result
+    # From the first row another rule rejects on, no overflow is reported.
+    end = min((np.argmax(m) for m, _ in rules if np.any(m)), default=len(ids))
+    rules.append((
+        _overflows(ids, labels, weight, positive[:end]),
+        lambda i: f"{at(i)}weights for {ids[i]} sum beyond the float range",
+    ))
+    table.check(rules)
+    raise InternalInvariantError(f"{path}: weights overflow, but on no row")
+
+
+def _normalized(graph, node, labels, weight) -> tuple[Membership, list[str]] | None:
+    """Membership and warnings of checked rows, or None on an overflow."""
+    label_order = list(dict.fromkeys(labels))
     label_pos = {label: j for j, label in enumerate(label_order)}
     col = np.fromiter(
-        map(label_pos.__getitem__, columns[1]), dtype=np.int64, count=node.size
+        map(label_pos.__getitem__, labels), dtype=np.int64, count=node.size
     )
     warnings: list[str] = []
     present = np.zeros(graph.n, dtype=bool)
@@ -617,8 +653,7 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     for i in np.flatnonzero((np.diff(indptr) > 2) | ~np.isfinite(total)):
         total[i] = _weight_sum(value[indptr[i] : indptr[i + 1]].tolist())
     if not np.all(np.isfinite(total)):
-        _check_membership_rows(path, graph)
-        raise _disagree(path)
+        return None
     for i in np.flatnonzero(np.abs(total - 1.0) > 1e-9):
         warnings.append(
             f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
@@ -631,22 +666,6 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     return Membership(k=k, labels=tuple(label_order), weights=weights), warnings
 
 
-def _membership_entries(graph, ids, labels, weight_s):
-    """(node index, weight) columns, or None when a row fails a check."""
-    if "" in ids or "" in labels:
-        return None
-    try:
-        weight = np.fromiter(map(float, weight_s), dtype=np.float64, count=len(ids))
-    except ValueError:
-        return None
-    node = np.fromiter(
-        map(graph.id_index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
-    )
-    if not np.all((weight > 0) & np.isfinite(weight)) or np.any(node < 0):
-        return None
-    return node, weight
-
-
 def _weight_sum(values) -> float:
     """Exactly rounded sum of positive weights; inf beyond the float range."""
     try:
@@ -655,36 +674,15 @@ def _weight_sum(values) -> float:
         return math.inf
 
 
-def _check_membership_rows(path, graph: CitationGraph) -> None:
-    """Check the classification row by row.
-
-    Raises:
-        IngestError: the first bad row, with its line number.
-    """
-    # Per publication, the weight of each discipline summed in file
-    # order, as parse_membership adds up repeated rows.
+def _overflows(ids, labels, weight, positive) -> np.ndarray:
+    """Mask of the rows from which the weights of their publication, of
+    the rows ``positive`` marks, added up per discipline in file order as
+    in ``parse_membership``, no longer sum exactly to a finite number."""
     cells: dict[str, dict[str, float]] = {}
-    for lineno, (node_id, label, weight_s) in _csv_rows(path, MEMBERSHIP_HEADER):
-        if not node_id or not label:
-            raise IngestError(f"{path}: line {lineno}: empty id or discipline")
-        try:
-            weight = float(weight_s)
-        except ValueError:
-            raise IngestError(
-                f"{path}: line {lineno}: weight {weight_s!r} is not a number"
-            ) from None
-        if not weight > 0 or not math.isfinite(weight):
-            raise IngestError(
-                f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
-            )
-        if node_id not in graph.id_index:
-            raise IngestError(
-                f"{path}: line {lineno}: membership references unknown id {node_id!r}"
-            )
-        cell = cells.setdefault(node_id, {})
-        cell[label] = cell.get(label, 0.0) + weight
-        if not math.isfinite(_weight_sum(cell.values())):
-            raise IngestError(
-                f"{path}: line {lineno}: weights for {node_id} sum beyond "
-                "the float range"
-            )
+    mask = np.zeros(len(ids), dtype=bool)
+    values = weight.tolist()
+    for i in np.flatnonzero(positive).tolist():
+        cell = cells.setdefault(ids[i], {})
+        cell[labels[i]] = cell.get(labels[i], 0.0) + values[i]
+        mask[i] = not math.isfinite(_weight_sum(cell.values()))
+    return mask

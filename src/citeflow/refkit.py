@@ -304,6 +304,7 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     edges = EdgeTable(
         citing=tuple(map(ids.__getitem__, (chosen // spec.n).tolist())),
         cited=tuple(map(ids.__getitem__, (chosen % spec.n).tolist())),
+        lines=range(2, chosen.size + 2),
     )
     graph, _ = build_graph(nodes, edges)
 

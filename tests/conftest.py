@@ -72,6 +72,7 @@ def mutate_line(text: str, line: int, field: int, names) -> str:
     lines = text.splitlines()
     fields = lines[line % len(lines)].split(",")
     for name in names:
+        fields = fields or [""]  # "".split(","): the line lost every field
         fields = MUTATIONS[name](fields, field % len(fields))
     lines[line % len(lines)] = ",".join(fields)
     return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from citeflow import (
 from citeflow import citegraph
 from citeflow.citegraph import MAX_YEAR
 from conftest import (
+    EDGES_CSV,
     FIX7_EDGES,
     FIX7_LONGEST,
     FIX7_NODES,
@@ -215,11 +216,14 @@ def _read_both(path, header):
 
     Either is None when its reader declines or rejects the file.
     """
+    data = path.read_bytes()
     limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
-        plain = citegraph._plain_fields(path, header)
+        plain = citegraph._plain_fields(data, header)
         try:
-            rows = [f for _, row in citegraph._csv_rows(path, header) for f in row]
+            rows = [
+                f for _, row in citegraph._csv_rows(path, header, data) for f in row
+            ]
         except IngestError:
             rows = None
     finally:
@@ -580,52 +584,261 @@ def _membership_by_rows(rows, graph):
     return tuple(labels), dense
 
 
-def _row_checks_pass(check, *args) -> bool:
+def _rows(path, header):
+    """``_csv_rows`` over the file ``path``."""
+    return citegraph._csv_rows(path, header, path.read_bytes())
+
+
+# The row-by-row checks that once worded ingest's errors, kept as the
+# oracle of the column checks.
+
+
+def _check_node_rows(path) -> list[str]:
+    """Check the publication table row by row.
+
+    Returns the blank-month warnings, each with its line number.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
+    warnings: list[str] = []
+    seen: dict[str, int] = {}
+    for lineno, (node_id, year_s, month_s) in _rows(path, citegraph.NODE_HEADER):
+        if not node_id:
+            raise IngestError(f"{path}: line {lineno}: empty node id")
+        if node_id in seen:
+            raise IngestError(
+                f"duplicate node id {node_id} (lines {seen[node_id]} and {lineno})"
+            )
+        try:
+            year = int(year_s)
+        except ValueError:
+            raise IngestError(
+                f"{path}: line {lineno}: year {year_s!r} is not an integer"
+            ) from None
+        if abs(year) > MAX_YEAR:
+            raise IngestError(
+                f"{path}: line {lineno}: year {year} outside -{MAX_YEAR}..{MAX_YEAR}"
+            )
+        if not month_s:
+            warnings.append(
+                f"node {node_id}: blank month defaults to 1 (line {lineno})"
+            )
+        else:
+            try:
+                month = int(month_s)
+            except ValueError:
+                raise IngestError(
+                    f"{path}: line {lineno}: month {month_s!r} is not an integer"
+                ) from None
+            if not 1 <= month <= 12:
+                raise IngestError(
+                    f"{path}: line {lineno}: month {month} outside 1..12"
+                )
+        seen[node_id] = lineno
+    return warnings
+
+
+def _check_edge_rows(path) -> None:
+    """Check the citation table row by row.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
+    for lineno, (citing, cited) in _rows(path, citegraph.EDGE_HEADER):
+        if not citing:
+            raise IngestError(f"missing citing id on line {lineno}")
+        if not cited:
+            raise IngestError(f"missing cited id on line {lineno}")
+
+
+def _check_membership_rows(path, graph: CitationGraph) -> None:
+    """Check the classification row by row.
+
+    Raises:
+        IngestError: the first bad row, with its line number.
+    """
+    # Per publication, the weight of each discipline summed in file
+    # order, as parse_membership adds up repeated rows.
+    cells: dict[str, dict[str, float]] = {}
+    for lineno, (node_id, label, weight_s) in _rows(path, citegraph.MEMBERSHIP_HEADER):
+        if not node_id or not label:
+            raise IngestError(f"{path}: line {lineno}: empty id or discipline")
+        try:
+            weight = float(weight_s)
+        except ValueError:
+            raise IngestError(
+                f"{path}: line {lineno}: weight {weight_s!r} is not a number"
+            ) from None
+        if not weight > 0 or not math.isfinite(weight):
+            raise IngestError(
+                f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
+            )
+        if node_id not in graph.id_index:
+            raise IngestError(
+                f"{path}: line {lineno}: membership references unknown id {node_id!r}"
+            )
+        cell = cells.setdefault(node_id, {})
+        cell[label] = cell.get(label, 0.0) + weight
+        if not math.isfinite(citegraph._weight_sum(cell.values())):
+            raise IngestError(
+                f"{path}: line {lineno}: weights for {node_id} sum beyond "
+                "the float range"
+            )
+
+
+def _fix7_graph():
+    graph, _ = build_graph(
+        NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+    )
+    return graph
+
+
+def _edges_against_fix7(path) -> None:
+    """parse_edges, then build_graph on the FIX7 nodes, as ``validate`` runs them."""
+    edges = parse_edges(path)
     try:
-        check(*args)
-    except IngestError:
-        return False
-    return True
+        build_graph(NodeTable.from_pairs(FIX7_NODES), edges)
+    except citegraph.UnknownIdError as exc:
+        raise exc.at(path) from None
+
+
+def _edge_rows_against_fix7(path) -> None:
+    """The oracle of ``_edges_against_fix7``: row checks, then the first
+    row naming an id that FIX7 lacks."""
+    _check_edge_rows(path)
+    known = {node_id for node_id, _ in FIX7_NODES}
+    for lineno, row in _rows(path, citegraph.EDGE_HEADER):
+        for role, node_id in zip(("citing", "cited"), row):
+            if node_id not in known:
+                raise IngestError(
+                    f"{path}: line {lineno}: unknown {role} id {node_id!r}"
+                )
+
+
+# Each input file, read by ingest and by its oracle. Only the node
+# table's readers return something: its blank-month warnings.
+_READERS = {
+    "nodes": (lambda path: parse_nodes(path)[1], _check_node_rows),
+    "edges": (_edges_against_fix7, _edge_rows_against_fix7),
+    "membership": (
+        lambda path: parse_membership(path, _fix7_graph()) and None,
+        lambda path: _check_membership_rows(path, _fix7_graph()),
+    ),
+}
+_TEXTS = {"nodes": NODES_CSV, "edges": EDGES_CSV, "membership": MEMBERSHIP_CSV}
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the text of the IngestError it raises."""
+    try:
+        return read(path)
+    except IngestError as exc:
+        return str(exc)
 
 
 class TestColumnChecksMatchRowChecks:
-    """The column checks accept a file exactly when the row checks do.
+    """Ingest reports what the row checks report, message for message.
 
-    The row checks run only to name a bad line, so a rule that the
-    column checks miss would let a bad row through unnoticed.
+    Each file of FIX7 has up to two of its lines mutated, so that a bad
+    field on one row meets a structural error on another.
     """
 
-    _mutations = {
-        "line": st.integers(min_value=0, max_value=7),
-        "field": st.integers(min_value=0, max_value=2),
-        "names": st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=2),
-    }
+    _mutations = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=0, max_value=2),
+            st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=2),
+        ),
+        min_size=1,
+        max_size=2,
+    )
 
-    @given(**_mutations)
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_nodes(self, tmp_path_factory, line, field, names):
-        text = mutate_line(NODES_CSV, line, field, names)
-        path = _write(tmp_path_factory.mktemp("nodes"), "n.csv", text)
-        columns = citegraph._csv_columns(path, citegraph.NODE_HEADER)
-        accepted = columns is not None and citegraph._node_table(*columns) is not None
-        assert accepted == _row_checks_pass(citegraph._check_node_rows, path)
+    def _check(self, tmp_path_factory, file, mutations):
+        text = _TEXTS[file]
+        for line, field, names in mutations:
+            text = mutate_line(text, line, field, names)
+        path = _write(tmp_path_factory.mktemp(file), f"{file}.csv", text)
+        read, oracle = _READERS[file]
+        assert _outcome(read, path) == _outcome(oracle, path)
 
-    @given(**_mutations)
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_membership(self, tmp_path_factory, line, field, names):
-        graph, _ = build_graph(
-            NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
-        )
-        text = mutate_line(MEMBERSHIP_CSV, line, field, names)
-        path = _write(tmp_path_factory.mktemp("membership"), "m.csv", text)
-        columns = citegraph._csv_columns(path, citegraph.MEMBERSHIP_HEADER)
-        accepted = (
-            columns is not None
-            and citegraph._membership_entries(graph, *columns) is not None
-        )
-        assert accepted == _row_checks_pass(
-            citegraph._check_membership_rows, path, graph
-        )
+    @given(mutations=_mutations)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_nodes(self, tmp_path_factory, mutations):
+        self._check(tmp_path_factory, "nodes", mutations)
+
+    @given(mutations=_mutations)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_edges(self, tmp_path_factory, mutations):
+        self._check(tmp_path_factory, "edges", mutations)
+
+    @given(mutations=_mutations)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_membership(self, tmp_path_factory, mutations):
+        self._check(tmp_path_factory, "membership", mutations)
+
+
+_FILLER = "".join(f"x{i},2010,1\n" for i in range(800))
+
+
+class TestFirstBadRow:
+    """Which of two problems ingest reports, and on which line."""
+
+    @pytest.mark.parametrize(
+        ("file", "body", "expected"),
+        [
+            (
+                "nodes",
+                "a,2016,1\nb,20x6,1\n" + _FILLER + "y\udcff,2010,1\n",
+                "{path}: line 3: year '20x6' is not an integer",
+            ),
+            (
+                "nodes",
+                "a,2016,1\nb,2016\nc,20x6,1\n",
+                "{path}: line 3: expected 3 fields, got 2",
+            ),
+            (
+                "membership",
+                "1,X,1e308\n1,Y,1e308\nzzz,X,1\n",
+                "{path}: line 3: weights for 1 sum beyond the float range",
+            ),
+            (
+                "membership",
+                "1,X,1e308\nzzz,X,1\n1,Y,1e308\n",
+                "{path}: line 3: membership references unknown id 'zzz'",
+            ),
+            (
+                "edges",
+                '1,2\n"1\n",3\n1,zzz\n',
+                "{path}: line 5: unknown cited id 'zzz'",
+            ),
+            (
+                "nodes",
+                '"a\nb",2016,1\nc,2016,\n',
+                ["node c: blank month defaults to 1 (line 4)"],
+            ),
+        ],
+        ids=[
+            "bad-row-before-undecodable-byte-past-8-kib",
+            "short-line-before-bad-year",
+            "overflow-before-unknown-id",
+            "unknown-id-before-overflow",
+            "unknown-edge-id-after-multiline-field",
+            "blank-month-after-multiline-field",
+        ],
+    )
+    def test_reports_the_first(self, tmp_path, file, body, expected):
+        header = _TEXTS[file].partition("\n")[0]
+        # "\udcff" writes the byte 0xff, which is not UTF-8.
+        data = (header + "\n" + body).encode("utf-8", "surrogateescape")
+        assert b"\xff" not in data or data.index(b"\xff") > 8192
+        path = tmp_path / f"{file}.csv"
+        path.write_bytes(data)
+        read, oracle = _READERS[file]
+        if isinstance(expected, str):
+            expected = expected.format(path=path)
+        assert _outcome(read, path) == expected
+        assert _outcome(oracle, path) == expected
 
 
 class TestRandomDagInvariants:
