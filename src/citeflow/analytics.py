@@ -268,13 +268,9 @@ def incoming_shares(flow) -> tuple[np.ndarray, np.ndarray]:
     all-zero and get flagged instead of dividing by zero.
     """
     f = np.asarray(flow, dtype=np.float64)
-    k = f.shape[0]
-    col_sums = np.array([math.fsum(col) for col in f.T])
+    col_sums = np.array([math.fsum(col) for col in f.T.tolist()])
     zero = col_sums == 0.0
-    shares = np.zeros_like(f)
-    for v in range(k):
-        if not zero[v]:
-            shares[:, v] = f[:, v] / col_sums[v]
+    shares = np.divide(f, col_sums, out=np.zeros_like(f), where=~zero)
     return shares, zero
 
 
@@ -349,11 +345,11 @@ class DisciplineSummary:
 def discipline_summary(flow, sizes) -> list[DisciplineSummary]:
     """Per-discipline size, self flow, and off-diagonal in/out flow."""
     f = np.asarray(flow, dtype=np.float64)
-    k = f.shape[0]
+    by_row, by_col = f.tolist(), f.T.tolist()
     rows = []
-    for v in range(k):
-        incoming = math.fsum(f[u, v] for u in range(k) if u != v)
-        outgoing = math.fsum(f[v, u] for u in range(k) if u != v)
+    for v in range(f.shape[0]):
+        incoming = math.fsum(by_col[v][:v] + by_col[v][v + 1 :])
+        outgoing = math.fsum(by_row[v][:v] + by_row[v][v + 1 :])
         rows.append(
             DisciplineSummary(
                 discipline=v,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import os
 import re
 import shutil
@@ -17,7 +18,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,7 @@ from . import analytics, citegraph, dependence, refkit
 
 
 def _fmt(x) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # canonical zero, never "-0"
-    return f"{v:.12g}"
+    return "%.12g" % (float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -101,16 +98,40 @@ def cmd_validate(nodes_path, edges_path, membership_path, stream=None) -> int:
     return 0
 
 
-def _write_rows(path: Path, rows) -> None:
+# A character that can make the csv module quote a field.
+_QUOTE_CANDIDATE = re.compile(r'[,"\r\n]')
+
+
+def _csv_fields(fields: list[str]) -> list[str]:
+    """``fields`` as the csv module writes each, as the first of a two-field row."""
+    if not _QUOTE_CANDIDATE.search("".join(fields)):
+        return fields
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quoted = []
+    for field in fields:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((field, ""))
+        quoted.append(buffer.getvalue()[:-2])  # drop ",\n": the empty second field
+    return quoted
+
+
+def _write_table(path: Path, header: list[str], texts, numbers) -> None:
+    """Write one CSV table: ``header``, then one row per record.
+
+    A row holds the record's text columns (``texts``, lists of str),
+    then its numeric columns (a row of the 2-D float array
+    ``numbers``), each with 12 significant digits and -0 as 0. Text
+    fields and the header are quoted as the csv module quotes them.
+    Every table has at least two columns, so no row is one empty field.
+    """
+    values = (np.asarray(numbers, dtype=np.float64) + 0.0).T.tolist()
+    template = ",".join(["%s"] * len(texts) + ["%.12g"] * len(values)) + "\n"
+    columns = [_csv_fields(column) for column in texts] + values
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-
-
-def _matrix_rows(labels, matrix):
-    yield ["discipline", *labels]
-    for label, row in zip(labels, np.asarray(matrix)):
-        yield [label, *(_fmt(x) for x in row)]
+        fh.write(",".join(_csv_fields(header)) + "\n")
+        fh.write("".join(map(template.__mod__, zip(*columns, strict=True))))
 
 
 def _dot_escape(text: str) -> str:
@@ -256,61 +277,49 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
 
     written: list[str] = []
 
-    def write_rows(name: str, rows) -> None:
+    def write_table(name: str, header, texts, numbers) -> None:
         written.append(name)
-        _write_rows(out_dir / name, rows)
+        _write_table(out_dir / name, header, texts, numbers)
+
+    def write_matrix(name: str, matrix) -> None:
+        write_table(name, ["discipline", *labels], [labels], matrix)
 
     def write_text(name: str, text: str) -> None:
         written.append(name)
         (out_dir / name).write_text(text, encoding="utf-8")
 
-    write_rows("F.csv", _matrix_rows(labels, decomp.total))
-    write_rows("F0.csv", _matrix_rows(labels, decomp.identity_flow))
+    write_matrix("F.csv", decomp.total)
+    write_matrix("F0.csv", decomp.identity_flow)
     for i, order_flow in enumerate(decomp.order_flows, start=1):
-        write_rows(f"M_{i}.csv", _matrix_rows(labels, order_flow))
-    contrib_rows = [["order", "l1_norm", "l1_share", "frob_norm", "frob_share"]]
-    for i in range(len(contrib_l1.norms)):
-        contrib_rows.append(
-            [
-                str(i + 1),
-                _fmt(contrib_l1.norms[i]),
-                _fmt(contrib_l1.shares[i]),
-                _fmt(contrib_fro.norms[i]),
-                _fmt(contrib_fro.shares[i]),
-            ]
-        )
-    write_rows("contributions.csv", contrib_rows)
-    write_rows("E.csv", _matrix_rows(labels, norm.expected))
-    write_rows("fhat.csv", _matrix_rows(labels, norm.normalized))
-    write_rows(
+        write_matrix(f"M_{i}.csv", order_flow)
+    write_table(
+        "contributions.csv",
+        ["order", "l1_norm", "l1_share", "frob_norm", "frob_share"],
+        [],
+        np.column_stack([
+            np.arange(1, len(contrib_l1.norms) + 1), contrib_l1.norms,
+            contrib_l1.shares, contrib_fro.norms, contrib_fro.shares,
+        ]),
+    )
+    write_matrix("E.csv", norm.expected)
+    write_matrix("fhat.csv", norm.normalized)
+    write_table(
         "summary.csv",
-        [["discipline", "size", "self_flow", "incoming_flow", "outgoing_flow"]]
-        + [
-            [labels[row.discipline], _fmt(row.size), _fmt(row.self_flow),
-             _fmt(row.incoming_flow), _fmt(row.outgoing_flow)]
-            for row in summary
-        ],
+        ["discipline", "size", "self_flow", "incoming_flow", "outgoing_flow"],
+        [[labels[row.discipline] for row in summary]],
+        [[row.size, row.self_flow, row.incoming_flow, row.outgoing_flow]
+         for row in summary],
     )
-    write_rows(
-        "r.csv",
-        [["id", "dependence"]]
-        + [[graph.node_ids[i], _fmt(decomp.r[i])] for i in range(graph.n)],
-    )
-    write_rows(
+    write_table("r.csv", ["id", "dependence"], [graph.node_ids], decomp.r[:, None])
+    write_table(
         "communities.csv",
-        [["discipline", "community"]]
-        + [[labels[v], str(community_of[v])] for v in range(membership.k)],
+        ["discipline", "community"],
+        [labels],
+        [[community_of[v]] for v in range(membership.k)],
     )
-    write_rows(
-        "betweenness.csv",
-        [["discipline", "betweenness"]]
-        + [[labels[v], _fmt(betweenness[v])] for v in range(membership.k)],
-    )
-    write_rows(
-        "rao.csv",
-        [["discipline", "score"]]
-        + [[labels[v], _fmt(rao.scores[v])] for v in range(membership.k)],
-    )
+    write_table("betweenness.csv", ["discipline", "betweenness"], [labels],
+                betweenness[:, None])
+    write_table("rao.csv", ["discipline", "score"], [labels], rao.scores[:, None])
     write_text("positive.dot", _dot_text("positive", labels, positive, community_of))
     write_text("negative.dot", _dot_text("negative", labels, negative, community_of))
     chosen = contrib_l1 if config.norm_kind == analytics.ENTRYWISE_L1 else contrib_fro
@@ -325,33 +334,20 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     graph, membership = refkit.random_dag(spec)
     ids = np.array(graph.node_ids)
     years, months = np.divmod(graph.time_keys, 12)
-    _write_rows(
-        out / "nodes.csv",
-        chain(
-            [["id", "year", "month"]],
-            zip(
-                graph.node_ids,
-                map(str, years.tolist()),
-                map(str, (months + 1).tolist()),
-            ),
-        ),
+    _write_table(
+        out / "nodes.csv", ["id", "year", "month"], [graph.node_ids],
+        np.column_stack([years, months + 1]),
     )
     citing = ids[np.repeat(np.arange(graph.n), graph.outdegree)]
-    _write_rows(
-        out / "edges.csv",
-        chain([["citing", "cited"]], zip(citing.tolist(), ids[graph.indices].tolist())),
+    _write_table(
+        out / "edges.csv", ["citing", "cited"],
+        [citing.tolist(), ids[graph.indices].tolist()], np.empty((graph.m, 0)),
     )
     weights = membership.weights.tocoo()
-    _write_rows(
-        out / "membership.csv",
-        chain(
-            [["id", "discipline", "weight"]],
-            zip(
-                ids[weights.row].tolist(),
-                np.array(membership.labels)[weights.col].tolist(),
-                map(_fmt, weights.data.tolist()),
-            ),
-        ),
+    _write_table(
+        out / "membership.csv", ["id", "discipline", "weight"],
+        [ids[weights.row].tolist(), np.array(membership.labels)[weights.col].tolist()],
+        weights.data[:, None],
     )
     _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
     return 0
@@ -372,17 +368,8 @@ def _max_order_arg(value: str):
 
 
 def _check_threads(value: int | None) -> None:
-    """Validate ``--threads``, or else ``CITEFLOW_THREADS``.
-
-    The engine is single-threaded, so a valid value changes nothing;
-    a malformed one is still an input error.
-    """
-    env = os.environ.get("CITEFLOW_THREADS")
-    if value is None and env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"CITEFLOW_THREADS={env!r} is not an integer") from None
+    """Validate ``--threads``; the engine is single-threaded, so a valid
+    value changes nothing, but a malformed one is still an input error."""
     if value is not None and value < 1:
         raise ValueError("threads must be >= 1")
 
@@ -426,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="accepted for compatibility; falls back to CITEFLOW_THREADS. The "
-        "engine is single-threaded, so the value changes neither results nor speed",
+        help="accepted for compatibility and must be >= 1. The engine is "
+        "single-threaded, so the value changes neither results nor speed",
     )
 
     synth.add_argument("--n", required=True, type=int, help="node count")

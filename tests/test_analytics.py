@@ -458,3 +458,45 @@ class TestScaleAndPermutationProperties:
         base_b = betweenness_centrality(positive)
         perm_b = betweenness_centrality(positive_p)
         assert np.array_equal(perm_b, base_b[perm])
+
+
+# The per-element loops that ``incoming_shares`` and ``discipline_summary``
+# ran before, kept as the oracle: the rewrites must agree bit for bit.
+def _loop_incoming_shares(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    k = f.shape[0]
+    col_sums = np.array([math.fsum(col) for col in f.T])
+    zero = col_sums == 0.0
+    shares = np.zeros_like(f)
+    for v in range(k):
+        if not zero[v]:
+            shares[:, v] = f[:, v] / col_sums[v]
+    return shares, zero
+
+
+def _loop_in_out(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    k = f.shape[0]
+    return [
+        (math.fsum(f[u, v] for u in range(k) if u != v),
+         math.fsum(f[v, u] for u in range(k) if u != v))
+        for v in range(k)
+    ]
+
+
+class TestLoopOracles:
+    @given(k=st.integers(1, 6), data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_match_the_loops(self, k, data):
+        cell = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]) | st.floats(
+            0.0, 1e6
+        )
+        f = np.array(data.draw(st.lists(cell, min_size=k * k, max_size=k * k)))
+        f = f.reshape(k, k)
+        shares, zero = incoming_shares(f)
+        loop_shares, loop_zero = _loop_incoming_shares(f)
+        assert shares.tobytes() == loop_shares.tobytes()
+        assert zero.tolist() == loop_zero.tolist()
+        rows = discipline_summary(f, [1.0] * k)
+        in_out = [(r.incoming_flow, r.outgoing_flow) for r in rows]
+        assert np.array(in_out).tobytes() == np.array(_loop_in_out(f)).tobytes()

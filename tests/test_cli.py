@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeflow.cli import main
+from citeflow.cli import _write_table, main
 from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
 
 
@@ -37,6 +40,151 @@ def _compute(fix7_files, out_dir, *extra) -> int:
             *extra,
         ]
     )
+
+
+# The writer that every table went through before ``_write_table``, kept
+# as the oracle of its format: one ``csv.writer`` field at a time.
+def _fmt(x) -> str:
+    v = float(x)
+    if v == 0.0:
+        v = 0.0  # canonical zero, never "-0"
+    return f"{v:.12g}"
+
+
+def _write_rows(path: Path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows(rows)
+
+
+def _matrix_rows(labels, matrix):
+    yield ["discipline", *labels]
+    for label, row in zip(labels, np.asarray(matrix)):
+        yield [label, *(_fmt(x) for x in row)]
+
+
+# Text fields with every character the csv module may quote for, and a
+# few it must leave alone (inner spaces, a non-ASCII letter, a BOM).
+_FIELDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\u00e9", "\ufeff", "a"]),
+                  max_size=5)
+_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+) | st.floats() | st.integers(-(10**6), 10**6).map(float)
+# Years, months, orders and community numbers, printed with str before.
+_INTEGERS = st.integers(-(10**12) + 1, 10**12 - 1)
+
+
+def _table_bytes(tmp_path: Path, write, *args) -> bytes:
+    path = tmp_path / "table.csv"
+    write(path, *args)
+    return path.read_bytes()
+
+
+class TestWriteTable:
+    """``_write_table`` writes what the csv-module oracle writes, byte for byte."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_oracle(self, data):
+        rows = data.draw(st.integers(0, 4), label="rows")
+        text_count = data.draw(st.integers(0, 3), label="text columns")
+        integer_columns = data.draw(
+            st.lists(st.booleans(), min_size=max(0, 2 - text_count), max_size=3),
+            label="integer columns",
+        )
+        header = data.draw(
+            st.lists(_FIELDS, min_size=text_count + len(integer_columns),
+                     max_size=text_count + len(integer_columns)),
+            label="header",
+        )
+        texts = [
+            data.draw(st.lists(_FIELDS, min_size=rows, max_size=rows))
+            for _ in range(text_count)
+        ]
+        numbers = [
+            data.draw(st.lists(_INTEGERS if is_int else _FLOATS,
+                               min_size=rows, max_size=rows))
+            for is_int in integer_columns
+        ]
+        printed = [
+            [str(x) if is_int else _fmt(x) for x in column]
+            for is_int, column in zip(integer_columns, numbers)
+        ]
+        oracle = [header, *(list(row) for row in zip(*texts, *printed))]
+        array = np.array(numbers, dtype=np.float64).reshape(len(numbers), rows).T
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _table_bytes(Path(tmp), _write_table, header, texts, array) == (
+                _table_bytes(Path(tmp), _write_rows, oracle)
+            )
+
+    @given(
+        labels=st.lists(_FIELDS, min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matrix_matches_the_oracle(self, labels, data):
+        k = len(labels)
+        cells = data.draw(st.lists(_FLOATS, min_size=k * k, max_size=k * k))
+        matrix = np.array(cells, dtype=np.float64).reshape(k, k)
+        with tempfile.TemporaryDirectory() as tmp:
+            table = _table_bytes(
+                Path(tmp), _write_table, ["discipline", *labels], [labels], matrix
+            )
+            assert table == _table_bytes(
+                Path(tmp), _write_rows, _matrix_rows(labels, matrix)
+            )
+
+    def test_edgeless_graph_has_no_contribution_rows(self, fix7_files, tmp_path):
+        edges = tmp_path / "edgeless.csv"
+        edges.write_text("citing,cited\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert _compute((fix7_files[0], edges, fix7_files[2]), out) == 0
+        header = ["order", "l1_norm", "l1_share", "frob_norm", "frob_share"]
+        assert (out / "contributions.csv").read_bytes() == _table_bytes(
+            tmp_path, _write_rows, [header]
+        )
+
+    def test_quoted_labels_and_ids_read_back(self, tmp_path):
+        # FIX7 with node 4 renamed "4,a" and disciplines X, Y, Z renamed.
+        labels = {"X": "X,1", "Y": 'Y"q', "Z": "Z\rz"}
+        quoted = {"4": '"4,a"', "X": '"X,1"', "Y": '"Y""q"', "Z": '"Z\rz"'}
+
+        def rename(text):
+            return "\n".join(
+                ",".join(quoted.get(field, field) for field in line.split(","))
+                for line in text.split("\n")
+            )
+
+        files = [tmp_path / name for name in ("nodes.csv", "edges.csv", "m.csv")]
+        for path, text in zip(files, (NODES_CSV, EDGES_CSV, MEMBERSHIP_CSV)):
+            path.write_text(rename(text), encoding="utf-8", newline="")
+        out = tmp_path / "out"
+        assert _compute(files, out) == 0
+
+        def read_back(name):
+            # The csv module (3.11) leaves a lone carriage return unquoted,
+            # so records are split at "\n" alone: "\r" reads as text.
+            text = (out / name).read_bytes().decode("utf-8").replace("\r", "\ue000")
+            return [
+                [field.replace("\ue000", "\r") for field in row]
+                for row in csv.reader(io.StringIO(text, newline=""))
+            ]
+
+        expected = sorted(labels.values())
+        for name in ("F.csv", "F0.csv", "M_1.csv", "M_2.csv", "M_3.csv", "E.csv",
+                     "fhat.csv"):
+            header, *rows = read_back(name)
+            assert header[0] == "discipline"
+            assert sorted(header[1:]) == expected
+            assert [row[0] for row in rows] == header[1:]
+            assert all(len(row) == 4 for row in rows)
+        for name in ("summary.csv", "communities.csv", "betweenness.csv", "rao.csv"):
+            header, *rows = read_back(name)
+            assert sorted(row[0] for row in rows) == expected
+            assert all(len(row) == len(header) for row in rows)
+        header, *rows = read_back("r.csv")
+        assert sorted(row[0] for row in rows) == ["1", "2", "3", "4,a", "5", "6", "7"]
+        assert all(len(row) == 2 for row in rows)
 
 
 class TestValidate:
