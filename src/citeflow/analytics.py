@@ -139,15 +139,13 @@ def threshold_network(
     k = f.shape[0]
     if k < 2:
         return DisciplineNetwork(k, {}), DisciplineNetwork(k, {})
-    pair_values: dict[tuple[int, int], float] = {}
-    for u in range(k):
-        for v in range(u + 1, k):
-            pair_values[(u, v)] = float(f[u, v] + f[v, u])
-    values = list(pair_values.values())
+    rows, cols = np.triu_indices(k, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    values = (f[rows, cols] + f[cols, rows]).tolist()
     hi_cut = _nearest_rank(values, hi_pct)
     lo_cut = _nearest_rank(values, lo_pct)
-    positive = {p: max(w, 0.0) for p, w in pair_values.items() if w >= hi_cut}
-    negative = {p: max(-w, 0.0) for p, w in pair_values.items() if w <= lo_cut}
+    positive = {p: max(w, 0.0) for p, w in zip(pairs, values) if w >= hi_cut}
+    negative = {p: max(-w, 0.0) for p, w in zip(pairs, values) if w <= lo_cut}
     return DisciplineNetwork(k, positive), DisciplineNetwork(k, negative)
 
 
@@ -159,6 +157,9 @@ def detect_communities(net: DisciplineNetwork) -> list[list[int]]:
     representative discipline indices, and stops when no merge
     improves modularity. Isolated disciplines stay singletons.
     Communities are returned sorted by their smallest member.
+
+    The weights between communities live in one symmetric k x k array,
+    so every round scores all pairs at once in O(k^2).
     """
     k = net.size
     total = math.fsum(net.edges.values())
@@ -169,34 +170,28 @@ def detect_communities(net: DisciplineNetwork) -> list[list[int]]:
     for (u, v), w in sorted(net.edges.items()):
         degree[u] += w
         degree[v] += w
-    comm_degree: dict[int, float] = {i: degree[i] for i in range(k)}
-    between: dict[tuple[int, int], float] = {}
-    for (u, v), w in sorted(net.edges.items()):
-        between[(u, v)] = between.get((u, v), 0.0) + w
+    degree = np.array(degree)
+    between = np.zeros((k, k))
+    for (u, v), w in net.edges.items():
+        between[u, v] = between[v, u] = w
+    lower = np.tri(k, dtype=bool)
+    scale = 2.0 * total * total
     while True:
-        best = None  # (gain, (a, b))
-        for (a, b), w in sorted(between.items()):
-            gain = w / total - (comm_degree[a] * comm_degree[b]) / (2.0 * total * total)
-            if gain > 0.0 and (
-                best is None or gain > best[0] or (gain == best[0] and (a, b) < best[1])
-            ):
-                best = (gain, (a, b))
-        if best is None:
+        gain = between / total - np.outer(degree, degree) / scale
+        gain[lower] = 0.0
+        # argmax takes the first maximum in row-major order: among equal
+        # gains, the smallest pair (a, b)
+        best = int(np.argmax(gain))
+        if not gain.flat[best] > 0.0:
             break
-        a, b = best[1]
+        a, b = divmod(best, k)
         # community ids are their smallest member, so merging into the
         # smaller id keeps that property
         members[a].extend(members.pop(b))
-        comm_degree[a] += comm_degree.pop(b)
-        rewired: dict[tuple[int, int], float] = {}
-        for (x, y), w in between.items():
-            x2 = a if x == b else x
-            y2 = a if y == b else y
-            if x2 == y2:
-                continue
-            p = (x2, y2) if x2 < y2 else (y2, x2)
-            rewired[p] = rewired.get(p, 0.0) + w
-        between = rewired
+        degree[a] += degree[b]
+        between[a] += between[b]
+        between[:, a] += between[:, b]
+        degree[b] = between[b] = between[:, b] = 0.0
     return [sorted(c) for c in sorted(members.values(), key=min)]
 
 
@@ -213,11 +208,11 @@ def betweenness_centrality(net: DisciplineNetwork, weighted: bool = False) -> np
     for (u, v), w in sorted(net.edges.items()):
         adjacency[u].append((v, w))
         adjacency[v].append((u, w))
-    scores = np.zeros(k, dtype=np.float64)
+    scores = [0.0] * k
     for s in range(k):
-        sigma = np.zeros(k, dtype=np.float64)
+        sigma = [0.0] * k
         sigma[s] = 1.0
-        dist = np.full(k, np.inf)
+        dist = [math.inf] * k
         dist[s] = 0.0
         preds: list[list[int]] = [[] for _ in range(k)]
         order: list[int] = []
@@ -227,7 +222,7 @@ def betweenness_centrality(net: DisciplineNetwork, weighted: bool = False) -> np
                 u = queue.popleft()
                 order.append(u)
                 for v, _ in adjacency[u]:
-                    if dist[v] == np.inf:
+                    if dist[v] == math.inf:
                         dist[v] = dist[u] + 1
                         queue.append(v)
                     if dist[v] == dist[u] + 1:
@@ -252,13 +247,13 @@ def betweenness_centrality(net: DisciplineNetwork, weighted: bool = False) -> np
                     elif nd == dist[v] and not settled[v]:
                         sigma[v] += sigma[u]
                         preds[v].append(u)
-        delta = np.zeros(k, dtype=np.float64)
+        delta = [0.0] * k
         for u in reversed(order):
             for p in preds[u]:
                 delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
             if u != s:
                 scores[u] += delta[u]
-    return scores / 2.0
+    return np.array(scores) / 2.0
 
 
 def incoming_shares(flow) -> tuple[np.ndarray, np.ndarray]:

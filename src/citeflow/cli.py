@@ -267,7 +267,11 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
     )
     rao = analytics.rao_entropy(flow)
     summary = analytics.discipline_summary(flow, membership.sizes())
-    _log(f"analytics: k={membership.k} communities={len(communities)}")
+    zero_weight = sum(w == 0.0 for w in positive.edges.values())
+    _log(
+        f"analytics: k={membership.k} communities={len(communities)} "
+        f"positive_edges={len(positive.edges)} zero_weight={zero_weight}"
+    )
 
     labels = membership.labels
     community_of = {}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import deque
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from citeflow import (
     rao_entropy,
     threshold_network,
 )
+from citeflow.analytics import _nearest_rank
 from conftest import FIX7_F, FIX7_M1, FIX7_SHARES
 
 
@@ -240,6 +243,21 @@ class TestDetectCommunities:
         net = DisciplineNetwork(5, _clique(4))
         partition = detect_communities(net)
         assert [4] in partition
+
+    @pytest.mark.parametrize(
+        ("k", "edges", "partition"),
+        [
+            (5, {(i, i + 1): 1.0 for i in range(4)}, [[0, 1, 2], [3, 4]]),
+            (
+                9,
+                {**_clique(4), **_clique(4, offset=4), (3, 8): 1.0, (4, 8): 1.0},
+                [[0, 1, 2, 3, 8], [4, 5, 6, 7]],
+            ),
+        ],
+        ids=["path", "cliques-with-shared-neighbour"],
+    )
+    def test_ties_go_to_the_smallest_pair(self, k, edges, partition):
+        assert detect_communities(DisciplineNetwork(k, edges)) == partition
 
     @pytest.mark.parametrize("seed", range(10))
     def test_greedy_never_beats_exhaustive(self, seed):
@@ -500,3 +518,192 @@ class TestLoopOracles:
         rows = discipline_summary(f, [1.0] * k)
         in_out = [(r.incoming_flow, r.outgoing_flow) for r in rows]
         assert np.array(in_out).tobytes() == np.array(_loop_in_out(f)).tobytes()
+
+
+# The dict-based ``threshold_network`` and ``detect_communities`` and the
+# numpy-array ``betweenness_centrality`` as they were before the k x k
+# rewrite, kept unchanged as the oracle: the rewrites must agree bit for bit.
+def _oracle_threshold_network(
+    fhat, hi_pct=90, lo_pct=10
+) -> tuple[DisciplineNetwork, DisciplineNetwork]:
+    if not hi_pct > lo_pct:
+        raise ValueError(f"hi_pct ({hi_pct}) must exceed lo_pct ({lo_pct})")
+    f = np.asarray(fhat, dtype=np.float64)
+    k = f.shape[0]
+    if k < 2:
+        return DisciplineNetwork(k, {}), DisciplineNetwork(k, {})
+    pair_values: dict[tuple[int, int], float] = {}
+    for u in range(k):
+        for v in range(u + 1, k):
+            pair_values[(u, v)] = float(f[u, v] + f[v, u])
+    values = list(pair_values.values())
+    hi_cut = _nearest_rank(values, hi_pct)
+    lo_cut = _nearest_rank(values, lo_pct)
+    positive = {p: max(w, 0.0) for p, w in pair_values.items() if w >= hi_cut}
+    negative = {p: max(-w, 0.0) for p, w in pair_values.items() if w <= lo_cut}
+    return DisciplineNetwork(k, positive), DisciplineNetwork(k, negative)
+
+
+def _oracle_detect_communities(net: DisciplineNetwork) -> list[list[int]]:
+    k = net.size
+    total = math.fsum(net.edges.values())
+    if total <= 0.0:
+        return [[i] for i in range(k)]
+    members: dict[int, list[int]] = {i: [i] for i in range(k)}
+    degree = [0.0] * k
+    for (u, v), w in sorted(net.edges.items()):
+        degree[u] += w
+        degree[v] += w
+    comm_degree: dict[int, float] = {i: degree[i] for i in range(k)}
+    between: dict[tuple[int, int], float] = {}
+    for (u, v), w in sorted(net.edges.items()):
+        between[(u, v)] = between.get((u, v), 0.0) + w
+    while True:
+        best = None  # (gain, (a, b))
+        for (a, b), w in sorted(between.items()):
+            gain = w / total - (comm_degree[a] * comm_degree[b]) / (2.0 * total * total)
+            if gain > 0.0 and (
+                best is None or gain > best[0] or (gain == best[0] and (a, b) < best[1])
+            ):
+                best = (gain, (a, b))
+        if best is None:
+            break
+        a, b = best[1]
+        members[a].extend(members.pop(b))
+        comm_degree[a] += comm_degree.pop(b)
+        rewired: dict[tuple[int, int], float] = {}
+        for (x, y), w in between.items():
+            x2 = a if x == b else x
+            y2 = a if y == b else y
+            if x2 == y2:
+                continue
+            p = (x2, y2) if x2 < y2 else (y2, x2)
+            rewired[p] = rewired.get(p, 0.0) + w
+        between = rewired
+    return [sorted(c) for c in sorted(members.values(), key=min)]
+
+
+def _oracle_betweenness_centrality(
+    net: DisciplineNetwork, weighted: bool = False
+) -> np.ndarray:
+    k = net.size
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for (u, v), w in sorted(net.edges.items()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    scores = np.zeros(k, dtype=np.float64)
+    for s in range(k):
+        sigma = np.zeros(k, dtype=np.float64)
+        sigma[s] = 1.0
+        dist = np.full(k, np.inf)
+        dist[s] = 0.0
+        preds: list[list[int]] = [[] for _ in range(k)]
+        order: list[int] = []
+        if not weighted:
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                order.append(u)
+                for v, _ in adjacency[u]:
+                    if dist[v] == np.inf:
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+                    if dist[v] == dist[u] + 1:
+                        sigma[v] += sigma[u]
+                        preds[v].append(u)
+        else:
+            settled = [False] * k
+            heap = [(0.0, s)]
+            while heap:
+                d, u = heappop(heap)
+                if settled[u]:
+                    continue
+                settled[u] = True
+                order.append(u)
+                for v, w in adjacency[u]:
+                    nd = d + w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        sigma[v] = sigma[u]
+                        preds[v] = [u]
+                        heappush(heap, (nd, v))
+                    elif nd == dist[v] and not settled[v]:
+                        sigma[v] += sigma[u]
+                        preds[v].append(u)
+        delta = np.zeros(k, dtype=np.float64)
+        for u in reversed(order):
+            for p in preds[u]:
+                delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
+            if u != s:
+                scores[u] += delta[u]
+    return scores / 2.0
+
+
+# Integer weights force tied gains and equal path lengths; zero weights
+# are common in practice (most positive edges of ``wide`` weigh 0).
+_WEIGHT = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _networks(draw):
+    k = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    # all-unit weights tie many gains at once
+    weight = draw(st.sampled_from([_WEIGHT, st.just(1.0)]))
+    weights = draw(
+        st.lists(st.none() | weight, min_size=len(pairs), max_size=len(pairs))
+    )
+    edges = {p: w for p, w in zip(pairs, weights) if w is not None}
+    return DisciplineNetwork(k, edges)
+
+
+def _assert_network_matches_oracle(net):
+    assert detect_communities(net) == _oracle_detect_communities(net)
+    for weighted in (False, True):
+        assert (
+            betweenness_centrality(net, weighted).tobytes()
+            == _oracle_betweenness_centrality(net, weighted).tobytes()
+        )
+
+
+def _items(net):
+    # repr keeps the order, the float bits (-0.0 too) and the key types
+    return repr(list(net.edges.items()))
+
+
+class TestNetworkOracles:
+    @given(net=_networks())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_communities_and_betweenness_match(self, net):
+        _assert_network_matches_oracle(net)
+
+    @given(
+        k=st.integers(0, 12),
+        pcts=st.tuples(*[st.sampled_from([-1, 0, 10, 50, 90, 100]) | st.integers(-1, 100)] * 2),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_thresholds_match(self, k, pcts, data):
+        cell = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]) | st.floats(-1e3, 1e3)
+        fhat = np.array(data.draw(st.lists(cell, min_size=k * k, max_size=k * k)))
+        fhat = fhat.reshape(k, k)
+        hi, lo = pcts
+        if not hi > lo:
+            with pytest.raises(ValueError, match="exceed"):
+                threshold_network(fhat, hi, lo)
+            return
+        for net, oracle in zip(
+            threshold_network(fhat, hi, lo), _oracle_threshold_network(fhat, hi, lo)
+        ):
+            assert net.size == oracle.size
+            assert _items(net) == _items(oracle)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_paper_scale(self, seed):
+        # about 250 Web of Science subject categories
+        flow = np.random.default_rng(seed).random((250, 250)) * 100.0
+        fhat = normalized_flow(flow).normalized
+        networks = threshold_network(fhat)
+        for net, oracle in zip(networks, _oracle_threshold_network(fhat)):
+            assert _items(net) == _items(oracle)
+        _assert_network_matches_oracle(networks[0])

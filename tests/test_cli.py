@@ -306,6 +306,15 @@ class TestCompute:
         assert f"dependence: {logged}" in capsys.readouterr().err
         assert not any("edge work" in p.read_text() for p in out.iterdir())
 
+    def test_logs_zero_weight_positive_edges(self, fix7_files, tmp_path, capsys):
+        # FIX7's only positive edge, Y-Z, is the largest pair value, but
+        # that value is negative, so its weight is floored to 0.
+        out = tmp_path / "out"
+        assert _compute(fix7_files, out) == 0
+        err = capsys.readouterr().err
+        assert "analytics: k=3 communities=3 positive_edges=1 zero_weight=1\n" in err
+        assert not any("zero_weight" in p.read_text() for p in out.iterdir())
+
     def test_bad_percentiles_exit_2(self, fix7_files, tmp_path):
         code = _compute(fix7_files, tmp_path / "x", "--hi-pct", "10", "--lo-pct", "90")
         assert code == 2
