@@ -457,43 +457,48 @@ def parse_edges(path) -> EdgeTable:
     return EdgeTable(citing=tuple(citing), cited=tuple(cited), lines=table.lines)
 
 
+def _indices(id_index: dict[str, int], column) -> np.ndarray:
+    """Index of each id of ``column`` in ``id_index``; -1 for an unknown id."""
+    return np.fromiter(map(id_index.get, column, repeat(-1)), np.int64, len(column))
+
+
 def build_graph(
     nodes: NodeTable, edges: EdgeTable
 ) -> tuple[CitationGraph, IngestReport]:
-    """Assemble a CitationGraph, dropping synchronous and duplicate citations.
-
-    An edge is synchronous when the citing publication's time is the
-    same as, or older than, the cited one's; those edges are discarded
-    (self-loops fall under this rule). Duplicate surviving edges are
-    collapsed and counted.
+    """Look up the ids of the edges, then assemble with ``graph_from_indices``.
 
     Raises:
         IngestError: zero nodes.
         UnknownIdError: an edge names an id missing from ``nodes``.
     """
     ids = tuple(nodes.ids)
-    n = len(ids)
-    if not n:
+    if not ids:
         raise IngestError("zero nodes: cannot build a citation graph")
-    id_index = dict(zip(ids, range(n)))
-    tkey = np.array(nodes.time_keys, dtype=np.int64)
-
-    e_total = len(edges.citing)
-    citing, cited = (
-        np.fromiter(
-            map(id_index.get, column, repeat(-1)), dtype=np.int64, count=e_total
-        )
-        for column in (edges.citing, edges.cited)
-    )
+    id_index = dict(zip(ids, range(len(ids))))
+    citing, cited = (_indices(id_index, col) for col in (edges.citing, edges.cited))
     unknown = (citing < 0) | (cited < 0)
     if unknown.any():
         pos = int(np.argmax(unknown))
         if citing[pos] < 0:
             raise UnknownIdError(pos, "citing", edges.citing[pos], edges.lines[pos])
         raise UnknownIdError(pos, "cited", edges.cited[pos], edges.lines[pos])
+    return graph_from_indices(ids, nodes.time_keys, citing, cited, id_index)
 
+
+def graph_from_indices(
+    ids: tuple[str, ...], time_keys, citing, cited, id_index: dict[str, int]
+) -> tuple[CitationGraph, IngestReport]:
+    """Assemble a CitationGraph, dropping synchronous and duplicate citations.
+
+    Edge e cites ``ids[cited[e]]`` from ``ids[citing[e]]``; ``ids`` is
+    nonempty and ``id_index`` maps each id to its position. Synchronous
+    edges, whose citing publication is not newer than the cited one
+    (self-loops among them), are discarded; duplicates are collapsed.
+    """
+    n = len(ids)
+    tkey = np.array(time_keys, dtype=np.int64)
     keep = tkey[citing] > tkey[cited]
-    synchronous = int(e_total - int(keep.sum()))
+    synchronous = int(keep.size - int(keep.sum()))
     # Sorted, so CSR rows and columns come out ordered. A sort and a mask,
     # not np.unique, which hashes int64 keys and is several times slower.
     key = np.sort(citing[keep] * n + cited[keep])
@@ -524,7 +529,7 @@ def build_graph(
     )
     report = IngestReport(
         nodes_read=n,
-        edges_read=e_total,
+        edges_read=keep.size,
         synchronous_edges_discarded=synchronous,
         duplicate_edges_discarded=duplicates,
     )
@@ -592,9 +597,7 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     ids, labels, weight_s = table.columns
     weight, not_number = _numbers(float, weight_s, np.float64)
     positive = (weight > 0) & np.isfinite(weight)
-    node = np.fromiter(
-        map(graph.id_index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
-    )
+    node = _indices(graph.id_index, ids)
     at = table.at
     rules = [
         (_blank(ids) | _blank(labels), lambda i: f"{at(i)}empty id or discipline"),
@@ -659,10 +662,7 @@ def _normalized(graph, node, labels, weight) -> tuple[Membership, list[str]] | N
             f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
             "renormalized to 1"
         )
-    weights = sparse.coo_matrix(
-        (value / total[row], (row, cell % k)), shape=(graph.n, k), dtype=np.float64
-    ).tocsr()
-    weights.sort_indices()
+    weights = sparse.csr_matrix((value / total[row], cell % k, indptr), (graph.n, k))
     return Membership(k=k, labels=tuple(label_order), weights=weights), warnings
 
 

@@ -21,11 +21,9 @@ from .analytics import DisciplineNetwork
 from .citegraph import (
     CiteflowError,
     CitationGraph,
-    EdgeTable,
     Membership,
-    NodeTable,
     PubTime,
-    build_graph,
+    graph_from_indices,
     topological_order,
 )
 
@@ -248,8 +246,8 @@ class SynthSpec:
     month_span: int = 24
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= 3_037_000_499:  # so edge keys u * n + v fit in int64
+            raise ValueError("n must lie in 1..3037000499")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 <= self.target_m <= self.n * (self.n - 1) // 2:
@@ -275,7 +273,6 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     width = max(len(str(spec.n)), 1)
     ids = tuple(f"p{i + 1:0{width}d}" for i in range(spec.n))
     buckets = rng.integers(0, spec.month_span, size=spec.n)
-    nodes = NodeTable(ids=ids, time_keys=PubTime(2000, 1).key() + buckets)
 
     # Each batch adds its new pairs in proposal order, as if they were
     # taken one by one, until the edge target is met.
@@ -301,12 +298,13 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
             f"generated {chosen.size} edges",
             stacklevel=2,
         )
-    edges = EdgeTable(
-        citing=tuple(map(ids.__getitem__, (chosen // spec.n).tolist())),
-        cited=tuple(map(ids.__getitem__, (chosen % spec.n).tolist())),
-        lines=range(2, chosen.size + 2),
+    graph, _ = graph_from_indices(
+        ids,
+        PubTime(2000, 1).key() + buckets,
+        chosen // spec.n,
+        chosen % spec.n,
+        dict(zip(ids, range(spec.n))),
     )
-    graph, _ = build_graph(nodes, edges)
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
     two_way = rng.random(spec.n) < 0.2

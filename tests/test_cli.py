@@ -209,7 +209,7 @@ class TestValidate:
         )
         assert code == 2
 
-    def test_empty_nodes_exits_2(self, fix7_files, tmp_path):
+    def test_empty_nodes_exits_2(self, fix7_files, tmp_path, capsys):
         _, edges, membership = fix7_files
         empty = tmp_path / "empty_nodes.csv"
         empty.write_text("id,year,month\n", encoding="utf-8")
@@ -218,6 +218,8 @@ class TestValidate:
              "--membership", str(membership)]
         )
         assert code == 2
+        # zero nodes is reported ahead of the edges' unknown ids
+        assert "zero nodes" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, fix7_files, tmp_path):
         _, edges, membership = fix7_files

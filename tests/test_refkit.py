@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citeflow import (
     DisciplineNetwork,
@@ -23,6 +27,7 @@ from citeflow import (
     exhaustive_modularity,
     modularity,
     random_dag,
+    refkit,
     topological_order,
 )
 from conftest import FIX7_P_ROW1
@@ -171,3 +176,54 @@ class TestRandomDag:
             SynthSpec(n=3, target_m=10, k=1, seed=0)
         with pytest.raises(ValueError):
             SynthSpec(n=3, target_m=1, k=0, seed=0)
+
+    def test_n_bounded_by_int64_edge_keys(self):
+        # the largest edge key, n * n - 1, must fit in int64
+        assert SynthSpec(n=3_037_000_499, target_m=0, k=1, seed=0).n == 3_037_000_499
+        for n in (3_037_000_500, 10**20):
+            with pytest.raises(ValueError, match="3037000499"):
+                SynthSpec(n=n, target_m=0, k=1, seed=0)
+
+
+@st.composite
+def _synth_specs(draw) -> SynthSpec:
+    n = draw(st.integers(1, 300))
+    return SynthSpec(
+        n=n,
+        target_m=draw(st.integers(0, n * (n - 1) // 2)),
+        k=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        month_span=draw(st.integers(1, 30)),
+    )
+
+
+class TestRandomDagOracle:
+    """``random_dag`` assembles its graph from index arrays; the oracle
+    spells the generated pairs as id strings and builds the graph from
+    them with ``build_graph``, as the generator itself once did."""
+
+    @given(_synth_specs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_graph_matches_build_graph(self, spec):
+        assemble = refkit.graph_from_indices
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(refkit, "graph_from_indices", wraps=assemble) as spy:
+                graph, _ = random_dag(spec)
+        spy.assert_called_once()
+        ids, time_keys, citing, cited, _ = spy.call_args.args
+        spell = ids.__getitem__
+        oracle, report = build_graph(
+            NodeTable(ids, time_keys),
+            EdgeTable.from_pairs(zip(map(spell, citing), map(spell, cited))),
+        )
+        assert graph.indptr.tobytes() == oracle.indptr.tobytes()
+        assert graph.indices.tobytes() == oracle.indices.tobytes()
+        assert graph.time_keys.tobytes() == oracle.time_keys.tobytes()
+        assert graph.node_ids == oracle.node_ids
+        assert graph.id_index == oracle.id_index
+        assert graph.m == oracle.m == len(citing)
+        assert report.synchronous_edges_discarded == 0
+        assert report.duplicate_edges_discarded == 0
+        if not caught:
+            assert graph.m == spec.target_m
