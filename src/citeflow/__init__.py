@@ -48,7 +48,6 @@ from .dependence import (
     edge_work,
     flow_decomposition,
     propagate,
-    source_dependence,
 )
 from .refkit import (
     OracleGuardError,

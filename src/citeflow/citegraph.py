@@ -30,7 +30,6 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-from scipy import sparse
 
 UNCLASSIFIED = "__unclassified__"
 # Largest year magnitude whose month key (``PubTime.key``) fits in int64.
@@ -204,19 +203,27 @@ class IngestReport:
 
 @dataclass(frozen=True, eq=False)
 class Membership:
-    """Row-stochastic publication-to-discipline weights (n x k, sparse)."""
+    """Row-stochastic publication-to-discipline weights.
+
+    The n x k weights are held as the CSR arrays ``indptr``, ``indices``
+    and ``data``, with each row's disciplines in ascending order and
+    none repeated.
+    """
 
     k: int
     labels: tuple[str, ...]
-    weights: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return len(self.indptr) - 1
 
     def sizes(self) -> np.ndarray:
-        """Per-discipline publication mass (column sums of the weights)."""
-        return np.asarray(self.weights.sum(axis=0)).ravel()
+        """Per-discipline publication mass (column sums of the weights),
+        each added up in entry order."""
+        return np.bincount(self.indices, weights=self.data, minlength=self.k)
 
 
 def _csv_rows(path, header: tuple[str, ...], data: bytes):
@@ -662,8 +669,11 @@ def _normalized(graph, node, labels, weight) -> tuple[Membership, list[str]] | N
             f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
             "renormalized to 1"
         )
-    weights = sparse.csr_matrix((value / total[row], cell % k, indptr), (graph.n, k))
-    return Membership(k=k, labels=tuple(label_order), weights=weights), warnings
+    membership = Membership(
+        k=k, labels=tuple(label_order), indptr=indptr, indices=cell % k,
+        data=value / total[row],
+    )
+    return membership, warnings
 
 
 def _weight_sum(values) -> float:

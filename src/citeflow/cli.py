@@ -103,17 +103,22 @@ _QUOTE_CANDIDATE = re.compile(r'[,"\r\n]')
 
 
 def _csv_fields(fields: list[str]) -> list[str]:
-    """``fields`` as the csv module writes each, as the first of a two-field row."""
+    r"""``fields`` as the csv module writes each, as the first of a two-field row.
+
+    The csv module quotes a field that holds a character of its line
+    terminator, so a ``"\r\n"`` terminator quotes a lone ``\r`` as well,
+    which a reader would otherwise take for the end of the row.
+    """
     if not _QUOTE_CANDIDATE.search("".join(fields)):
         return fields
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator="\r\n")
     quoted = []
     for field in fields:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow((field, ""))
-        quoted.append(buffer.getvalue()[:-2])  # drop ",\n": the empty second field
+        quoted.append(buffer.getvalue()[:-3])  # drop ",\r\n": the empty second field
     return quoted
 
 
@@ -347,11 +352,11 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
         out / "edges.csv", ["citing", "cited"],
         [citing.tolist(), ids[graph.indices].tolist()], np.empty((graph.m, 0)),
     )
-    weights = membership.weights.tocoo()
+    rows = np.repeat(np.arange(membership.n), np.diff(membership.indptr))
     _write_table(
         out / "membership.csv", ["id", "discipline", "weight"],
-        [ids[weights.row].tolist(), np.array(membership.labels)[weights.col].tolist()],
-        weights.data[:, None],
+        [ids[rows].tolist(), np.array(membership.labels)[membership.indices].tolist()],
+        membership.data[:, None],
     )
     _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
     return 0

@@ -23,12 +23,13 @@ publication order, and sums into ``r`` and the dependence stack run
 over the same row prefix; the result is put back in publication order
 once, at the end.
 
-The result is byte-identical to the full-operator iteration. scipy's
-CSR product accumulates each row sequentially, in stored entry order,
-from +0.0, and every entry keeps its stored order here. The terms
-that are left out are products with an exact +0.0 of the previous
-block, and every term is nonnegative, so adding them leaves each
-partial sum unchanged.
+The result is byte-identical to the full-operator iteration. Every
+product runs through scipy's compiled ``csr_matvecs`` kernel on plain
+CSR arrays (see ``_sparsetools``), which accumulates each output row
+sequentially, in stored entry order, from +0.0, and every entry keeps
+its stored order here. The terms that are left out are products with
+an exact +0.0 of the previous block, and every term is nonnegative, so
+adding them leaves each partial sum unchanged.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from ._sparsetools import csr_matvecs, csr_row_index, csr_tocsc, csr_todense
 from .citegraph import CitationGraph, Membership, longest_path_length
 
 AUTO = "auto"
@@ -47,20 +48,23 @@ AUTO = "auto"
 class NormalizedCitationOperator:
     """Sparse citation operator with rows normalized by outdegree.
 
-    Row ``i`` carries 1/outdegree(i) at every cited neighbour; rows of
-    sink publications are empty. ``heights[i]`` is the length of the
-    longest path that starts at publication ``i``; ``order_bound``, their
-    maximum, is the longest path length in the graph, beyond which all
-    operator powers vanish.
+    The n x n operator is held as the CSR arrays ``indptr``, ``indices``
+    and ``data``: row ``i`` carries 1/outdegree(i) at every cited
+    neighbour; rows of sink publications are empty. ``heights[i]`` is
+    the length of the longest path that starts at publication ``i``;
+    ``order_bound``, their maximum, is the longest path length in the
+    graph, beyond which all operator powers vanish.
     """
 
-    matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     order_bound: int
     heights: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
 
 
 def build_operator(graph: CitationGraph) -> NormalizedCitationOperator:
@@ -69,49 +73,91 @@ def build_operator(graph: CitationGraph) -> NormalizedCitationOperator:
     inv = np.zeros(graph.n, dtype=np.float64)
     cited_any = out > 0
     inv[cited_any] = 1.0 / out[cited_any]
-    data = np.repeat(inv, out)
-    matrix = sparse.csr_matrix(
-        (data, graph.indices.copy(), graph.indptr.copy()),
-        shape=(graph.n, graph.n),
-    )
     # The first call runs the frontier pass that also yields the heights.
     order_bound = longest_path_length(graph)
     return NormalizedCitationOperator(
-        matrix=matrix, order_bound=order_bound, heights=graph.heights
+        indptr=graph.indptr,
+        indices=graph.indices,
+        data=np.repeat(inv, out),
+        order_bound=order_bound,
+        heights=graph.heights,
     )
 
 
-def propagate(operator, matrix):
-    """Apply the operator to a matrix (sparse or dense).
+def _checked(csr):
+    """``csr`` after checking that the kernels stay inside its arrays.
 
-    ``operator`` is a NormalizedCitationOperator, or a CSR corner of its
-    matrix such as the engine's per-order step; ``matrix`` has one row
-    per operator column. Output row ``i`` is the outdegree-weighted mean
-    of the input rows of the publications that ``i`` cites; sink rows
-    come out zero. Each output row is one sequential accumulation over
-    the cited neighbours in stored order, so sparse and dense inputs
-    give bitwise identical values.
+    The compiled kernels do not check bounds: a row pointer past the
+    entries or a column past ``ncols`` would read or write outside the
+    arrays. Raises ValueError on such arrays.
     """
-    w = operator
-    if isinstance(w, NormalizedCitationOperator):
-        w = w.matrix
-    if matrix.shape[0] != w.shape[1]:
-        raise ValueError(
-            f"matrix has {matrix.shape[0]} rows, operator expects {w.shape[1]}"
-        )
-    out = w @ matrix
-    if sparse.issparse(out):
-        out = out.tocsr()
-        out.sort_indices()
+    indptr, indices, data, ncols = csr
+    if not (
+        len(indptr) >= 1
+        and indptr[0] == 0
+        and indptr[-1] == len(indices) == len(data)
+        and np.all(indptr[1:] >= indptr[:-1])
+        and (not len(indices) or 0 <= indices.min() <= indices.max() < ncols)
+    ):
+        raise ValueError("malformed CSR arrays")
+    return csr
+
+
+def _product(csr, block: np.ndarray) -> np.ndarray:
+    """CSR ``(indptr, indices, data, ncols)`` times a dense float64 block.
+
+    ``csr_matvecs`` adds up each output row sequentially, in stored
+    entry order, from +0.0, as scipy's CSR-times-dense product does.
+    """
+    indptr, indices, data, ncols = csr
+    rows, width = len(indptr) - 1, block.shape[1]
+    out = np.zeros((rows, width), dtype=np.float64)
+    csr_matvecs(rows, ncols, width, indptr, indices, data, block.ravel(), out.ravel())
     return out
 
 
-def _membership_matrix(membership, n: int) -> sparse.csr_matrix:
-    q = membership.weights if isinstance(membership, Membership) else membership
-    q = sparse.csr_matrix(q, dtype=np.float64)
-    if q.shape[0] != n:
-        raise ValueError(f"membership has {q.shape[0]} rows, operator expects {n}")
-    return q
+def propagate(operator, matrix):
+    """Apply the operator to a dense matrix.
+
+    ``operator`` is a NormalizedCitationOperator, or a CSR corner of it
+    such as the engine's per-order step, an ``(indptr, indices, data,
+    ncols)`` tuple; ``matrix`` has one row per operator column. Output
+    row ``i`` is the outdegree-weighted mean of the input rows of the
+    publications that ``i`` cites; sink rows come out zero. Each output
+    row is one sequential accumulation over the cited neighbours in
+    stored order.
+    """
+    w = operator
+    if isinstance(w, NormalizedCitationOperator):
+        w = (w.indptr, w.indices, w.data, w.n)
+    w = _checked(w)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.shape[0] != w[3]:
+        raise ValueError(f"matrix has {matrix.shape[0]} rows, operator expects {w[3]}")
+    return _product(w, matrix)
+
+
+def _membership_csr(membership, n: int):
+    """``(indptr, indices, data, k)`` of a Membership or a dense n x k array."""
+    if isinstance(membership, Membership):
+        csr = (membership.indptr, membership.indices, membership.data, membership.k)
+    else:
+        dense = np.asarray(membership, dtype=np.float64)
+        rows, cols = np.nonzero(dense)
+        indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
+        csr = (indptr, cols, dense[rows, cols], dense.shape[1])
+    if len(csr[0]) - 1 != n:
+        raise ValueError(f"membership has {len(csr[0]) - 1} rows, operator expects {n}")
+    return _checked(csr)
+
+
+def _dense(csr) -> np.ndarray:
+    """The dense array of ``(indptr, indices, data, ncols)``, as scipy's
+    ``toarray`` makes it."""
+    indptr, indices, data, ncols = csr
+    out = np.zeros((len(indptr) - 1, ncols), dtype=np.float64)
+    csr_todense(len(indptr) - 1, ncols, indptr, indices, data, out.ravel())
+    return out
 
 
 def _order_limit(operator: NormalizedCitationOperator, max_order) -> int:
@@ -130,7 +176,7 @@ def edge_work(operator: NormalizedCitationOperator, orders: int) -> int:
     more, so an edge takes part in min(height(cited) + 1, ``orders``)
     orders. The full-operator iteration makes ``orders`` x m.
     """
-    cited = operator.heights[operator.matrix.indices]
+    cited = operator.heights[operator.indices]
     return int(np.minimum(cited + 1, orders).sum())
 
 
@@ -138,23 +184,50 @@ def _height_order(operator: NormalizedCitationOperator):
     """Publications by descending height, ties in index order, and the
     position of each publication in that order."""
     order = np.argsort(-operator.heights, kind="stable")
-    position = np.empty(operator.n, dtype=operator.matrix.indices.dtype)
+    position = np.empty(operator.n, dtype=operator.indices.dtype)
     position[order] = np.arange(operator.n)
     return order, position
 
 
-def _corner(matrix: sparse.csr_matrix, rows: int, columns: int) -> sparse.csr_matrix:
-    """The leading ``rows`` x ``columns`` corner of a CSR matrix.
+def _corner(csr, rows: int, columns: int):
+    """The leading ``rows`` x ``columns`` corner of a CSR tuple.
 
     Entries keep their stored order. One filter over the entries; every
     entry in a row past ``rows`` must lie in a column past ``columns``.
     """
-    keep = np.flatnonzero(matrix.indices < columns)
-    indptr = keep.searchsorted(matrix.indptr[: rows + 1]).astype(matrix.indptr.dtype)
-    return sparse.csr_matrix(
-        (matrix.data.take(keep), matrix.indices.take(keep), indptr),
-        shape=(rows, columns),
+    indptr, indices, data, _ = csr
+    keep = np.flatnonzero(indices < columns)
+    return (
+        keep.searchsorted(indptr[: rows + 1]).astype(indptr.dtype),
+        indices.take(keep),
+        data.take(keep),
+        columns,
     )
+
+
+def _take_rows(csr, rows: np.ndarray):
+    """Rows ``rows`` of ``(indptr, indices, data, ncols)``, in that order,
+    each keeping the stored order of its entries, as scipy's ``A[rows]``."""
+    indptr, indices, data, ncols = csr
+    out_indptr = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(np.diff(indptr)[rows], out=out_indptr[1:])
+    out_indices = np.empty(out_indptr[-1], dtype=indices.dtype)
+    out_data = np.empty(out_indptr[-1], dtype=data.dtype)
+    csr_row_index(len(rows), rows, indptr, indices, data, out_indices, out_data)
+    return out_indptr, out_indices, out_data, ncols
+
+
+def _transpose(csr):
+    """The transpose of ``(indptr, indices, data, ncols)``: a counting
+    sort of the entries by column, each column in row order, as scipy's
+    ``A.T.tocsr()``."""
+    indptr, indices, data, ncols = csr
+    out_indptr = np.empty(ncols + 1, dtype=indptr.dtype)
+    out_indices = np.empty_like(indices)
+    out_data = np.empty_like(data)
+    csr_tocsc(len(indptr) - 1, ncols, indptr, indices, data,
+              out_indptr, out_indices, out_data)
+    return out_indptr, out_indices, out_data, len(indptr) - 1
 
 
 def _powers(operator: NormalizedCitationOperator, order, position, block, limit: int):
@@ -167,12 +240,12 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
     zero block, which nilpotency guarantees within ``order_bound`` + 1
     steps. No earlier block is kept, so at most two are alive at once.
     """
-    w = operator.matrix
     # at_least[t]: how many publications have height t or more.
     at_least = np.cumsum(np.bincount(operator.heights)[::-1])[::-1]
-    step = sparse.csr_matrix(
-        (w.data, position[w.indices], w.indptr), shape=w.shape
-    )[order]
+    indptr, indices, data, n = _checked(
+        (operator.indptr, operator.indices, operator.data, operator.n)
+    )
+    step = _take_rows((indptr, position[indices], data, n), order)
     yield block
     for t in range(1, min(limit, operator.order_bound) + 1):
         # Edges whose cited end has height t - 1 or more, from the
@@ -189,15 +262,16 @@ def dependence_stack(
 ) -> np.ndarray:
     """Dense n x k dependence of each publication on each discipline.
 
-    Sums the membership columns over citation paths of length up to
+    ``membership`` is a Membership or a dense n x k array. Sums the
+    membership columns over citation paths of length up to
     ``max_order``; AUTO takes every path, which gives the total
     dependence.
     """
-    q = _membership_matrix(membership, operator.n)
+    q = _dense(_membership_csr(membership, operator.n))
     order, position = _height_order(operator)
     total = np.zeros(q.shape, dtype=np.float64)
     limit = _order_limit(operator, max_order)
-    for block in _powers(operator, order, position, q.toarray()[order], limit):
+    for block in _powers(operator, order, position, q[order], limit):
         total[: len(block)] += block
     return total[position]
 
@@ -213,25 +287,6 @@ def dependence_vector(
     """
     ones = np.ones((operator.n, 1), dtype=np.float64)
     return dependence_stack(operator, ones, max_order)[:, 0]
-
-
-def source_dependence(operator: NormalizedCitationOperator, membership) -> np.ndarray:
-    """Dense k x n dependence of each discipline on each publication.
-
-    The transposed analogue of the stack iteration: start from the
-    membership transpose and repeatedly right-multiply by the operator,
-    summing until the increment vanishes.
-    """
-    increment = _membership_matrix(membership, operator.n).T.tocsr()
-    total = increment.toarray()
-    w = operator.matrix
-    for _ in range(operator.order_bound):
-        increment = (increment @ w).tocsr()
-        if increment.nnz == 0:
-            break
-        coo = increment.tocoo()
-        total[coo.row, coo.col] += coo.data
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,20 +325,20 @@ def flow_decomposition(
     runs to the longest path length; a numeric value truncates earlier
     (order-limited analyses).
     """
-    q = _membership_matrix(membership, operator.n)
-    k = q.shape[1]
+    q = _membership_csr(membership, operator.n)
+    k = q[3]
     limit = _order_limit(operator, max_order)
     order, position = _height_order(operator)
-    block = np.hstack([q.toarray(), np.ones((operator.n, 1))])[order]
+    block = np.hstack([_dense(q), np.ones((operator.n, 1))])[order]
     # Q^T with its columns in height order and its entries in publication
     # order, cut to the block's rows at each order.
-    qt = q.T.tocsr()
-    qt = sparse.csr_matrix((qt.data, position[qt.indices], qt.indptr), shape=qt.shape)
+    qt_indptr, qt_indices, qt_data, _ = _transpose(q)
+    qt = (qt_indptr, position[qt_indices], qt_data, operator.n)
     flows: list[np.ndarray] = []
     r = np.zeros(operator.n, dtype=np.float64)
     for block in _powers(operator, order, position, block, limit):
         qt = _corner(qt, k, len(block))
-        flows.append((qt @ block)[:, :k])
+        flows.append(_product(qt, block)[:, :k])
         r[: len(block)] += block[:, k]
     total = flows[0]
     for order_flow in flows[1:]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
 from .analytics import DisciplineNetwork
 from .citegraph import (
@@ -317,11 +316,14 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     rows = np.concatenate([np.arange(spec.n), np.arange(spec.n)[two_way]])
     cols = np.concatenate([primary, alt[two_way]])
     data = np.concatenate([np.where(two_way, split, 1.0), (1.0 - split)[two_way]])
-    weights = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(spec.n, spec.k), dtype=np.float64
-    ).tocsr()
-    row_sums = np.asarray(weights.sum(axis=1)).ravel()
-    weights = sparse.diags(1.0 / row_sums) @ weights
-    weights = weights.tocsr()
-    weights.sort_indices()
-    return graph, Membership(k=spec.k, labels=labels, weights=weights)
+    # A row holds one or two entries, so its sum and each scaled entry
+    # are single roundings: any order of summation gives the same bits.
+    row_sums = np.bincount(rows, weights=data)
+    entry = np.lexsort((cols, rows))
+    indptr = np.zeros(spec.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows), out=indptr[1:])
+    membership = Membership(
+        k=spec.k, labels=labels, indptr=indptr, indices=cols[entry],
+        data=(1.0 / row_sums)[rows[entry]] * data[entry],
+    )
+    return graph, membership

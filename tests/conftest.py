@@ -98,19 +98,30 @@ def fix7_graph():
     return graph
 
 
+def as_scipy(holder) -> sparse.csr_matrix:
+    """A Membership or NormalizedCitationOperator as a scipy CSR matrix."""
+    ncols = holder.k if isinstance(holder, Membership) else holder.n
+    return sparse.csr_matrix(
+        (holder.data, holder.indices, holder.indptr), shape=(holder.n, ncols)
+    )
+
+
 @pytest.fixture
 def fix7_membership(fix7_graph):
     index = fix7_graph.id_index
     labels = ["X", "Y", "Z"]
     pos = {lab: i for i, lab in enumerate(labels)}
-    rows = [index[nid] for nid, _, _ in FIX7_MEMBER_ROWS]
-    cols = [pos[d] for _, d, _ in FIX7_MEMBER_ROWS]
-    data = [w for _, _, w in FIX7_MEMBER_ROWS]
-    weights = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(fix7_graph.n, 3), dtype=np.float64
-    ).tocsr()
-    weights.sort_indices()
-    return Membership(k=3, labels=tuple(labels), weights=weights)
+    rows = np.array([index[nid] for nid, _, _ in FIX7_MEMBER_ROWS])
+    cols = np.array([pos[d] for _, d, _ in FIX7_MEMBER_ROWS])
+    data = np.array([w for _, _, w in FIX7_MEMBER_ROWS])
+    entry = np.lexsort((cols, rows))
+    return Membership(
+        k=3,
+        labels=tuple(labels),
+        indptr=np.searchsorted(rows[entry], np.arange(fix7_graph.n + 1)),
+        indices=cols[entry],
+        data=data[entry],
+    )
 
 
 @pytest.fixture

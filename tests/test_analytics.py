@@ -96,9 +96,7 @@ class TestOrderContributions:
         graph, _ = build_graph(
             NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b"), ("b", "c")])
         )
-        from scipy import sparse
-
-        q = sparse.csr_matrix(np.ones((3, 1)))
+        q = np.ones((3, 1))
         decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.shares == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
@@ -107,9 +105,7 @@ class TestOrderContributions:
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
         )
-        from scipy import sparse
-
-        q = sparse.csr_matrix(np.ones((1, 1)))
+        q = np.ones((1, 1))
         decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.norms == ()

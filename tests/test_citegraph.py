@@ -39,6 +39,7 @@ from conftest import (
     MEMBERSHIP_CSV,
     MUTATIONS,
     NODES_CSV,
+    as_scipy,
     mutate_line,
 )
 
@@ -489,14 +490,14 @@ class TestParseMembership:
         assert membership.k == 1
         assert membership.labels == ("X",)
         assert warnings == []
-        row = membership.weights[fix7_graph.id_index["1"]].toarray().ravel()
+        row = as_scipy(membership)[fix7_graph.id_index["1"]].toarray().ravel()
         assert row.tolist() == [1.0]
 
     def test_split_membership_renormalized_with_warning(self, tmp_path, fix7_graph):
         body = "1,X,1\n1,Y,1\n" + "".join(f"{i},X,1\n" for i in "234567")
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, warnings = parse_membership(path, fix7_graph)
-        row = membership.weights[fix7_graph.id_index["1"]].toarray().ravel()
+        row = as_scipy(membership)[fix7_graph.id_index["1"]].toarray().ravel()
         assert row.tolist() == [0.5, 0.5]
         assert any("renormalized" in w for w in warnings)
 
@@ -505,7 +506,7 @@ class TestParseMembership:
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, warnings = parse_membership(path, fix7_graph)
         assert membership.labels == ("X", UNCLASSIFIED)
-        row = membership.weights[fix7_graph.id_index["7"]].toarray().ravel()
+        row = as_scipy(membership)[fix7_graph.id_index["7"]].toarray().ravel()
         assert row.tolist() == [0.0, 1.0]
         assert any("7" in w for w in warnings)
 
@@ -546,7 +547,8 @@ class TestParseMembership:
         membership, _ = parse_membership(path, fix7_graph)
         labels, dense = _membership_by_rows(rows, fix7_graph)
         assert membership.labels == labels
-        assert membership.weights.toarray().tobytes() == dense.tobytes()
+        assert as_scipy(membership).has_canonical_format  # sorted, no repeats
+        assert as_scipy(membership).toarray().tobytes() == dense.tobytes()
 
     @given(
         weights=st.lists(
@@ -561,7 +563,7 @@ class TestParseMembership:
         body = "".join(f"a,d{j},{w}\n" for j, w in enumerate(weights))
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, _ = parse_membership(path, graph)
-        row = membership.weights.toarray()[0]
+        row = as_scipy(membership).toarray()[0]
         assert np.all(row >= 0)
         assert abs(math.fsum(row) - 1.0) <= 1e-9
 
@@ -856,6 +858,7 @@ class TestRandomDagInvariants:
                 assert tkey[u] > tkey[v]
                 pairs.add((u, int(v)))
         assert len(pairs) == graph.m
-        rows = np.asarray(membership.weights.sum(axis=1)).ravel()
+        rows = np.asarray(as_scipy(membership).sum(axis=1)).ravel()
         assert np.allclose(rows, 1.0, atol=1e-9)
-        assert membership.weights.min() >= 0
+        assert membership.data.min() >= 0
+        assert as_scipy(membership).has_canonical_format  # sorted, no repeats

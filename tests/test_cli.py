@@ -43,7 +43,9 @@ def _compute(fix7_files, out_dir, *extra) -> int:
 
 
 # The writer that every table went through before ``_write_table``, kept
-# as the oracle of its format: one ``csv.writer`` field at a time.
+# as the oracle of its format: one ``csv.writer`` row at a time. Rows are
+# quoted as for a "\r\n" terminator, so that a lone "\r" is quoted too,
+# and end in "\n".
 def _fmt(x) -> str:
     v = float(x)
     if v == 0.0:
@@ -53,8 +55,10 @@ def _fmt(x) -> str:
 
 def _write_rows(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+        for row in rows:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow(row)
+            fh.write(buffer.getvalue()[:-2] + "\n")
 
 
 def _matrix_rows(labels, matrix):
@@ -162,13 +166,8 @@ class TestWriteTable:
         assert _compute(files, out) == 0
 
         def read_back(name):
-            # The csv module (3.11) leaves a lone carriage return unquoted,
-            # so records are split at "\n" alone: "\r" reads as text.
-            text = (out / name).read_bytes().decode("utf-8").replace("\r", "\ue000")
-            return [
-                [field.replace("\ue000", "\r") for field in row]
-                for row in csv.reader(io.StringIO(text, newline=""))
-            ]
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
 
         expected = sorted(labels.values())
         for name in ("F.csv", "F0.csv", "M_1.csv", "M_2.csv", "M_3.csv", "E.csv",

@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from citeflow import (
     AUTO,
     EdgeTable,
+    Membership,
     NodeTable,
     PubTime,
     SynthSpec,
     build_graph,
     build_operator,
     dense_dependence,
+    dependence,
     dependence_stack,
     dependence_vector,
     edge_work,
@@ -27,17 +30,17 @@ from citeflow import (
     flow_decomposition,
     propagate,
     random_dag,
-    source_dependence,
 )
-from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR
+from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR, as_scipy
 
 
 def _full_powers(op, block, limit):
     """The full-operator iteration: every order runs all n rows through
     all m edges, until ``limit`` or the first exactly zero block."""
+    w = as_scipy(op)
     yield block
     for _ in range(limit):
-        block = op.matrix @ block
+        block = w @ block
         if not block.any():
             return
         yield block
@@ -65,6 +68,25 @@ def _full_stack(op, q, limit):
     return total
 
 
+def _source_dependence(op, membership):
+    """Dense k x n dependence of each discipline on each publication.
+
+    The transposed analogue of the stack iteration, with scipy's sparse
+    products: start from the membership transpose and repeatedly
+    right-multiply by the operator, summing until the increment vanishes.
+    """
+    increment = as_scipy(membership).T.tocsr()
+    total = increment.toarray()
+    w = as_scipy(op)
+    for _ in range(op.order_bound):
+        increment = (increment @ w).tocsr()
+        if increment.nnz == 0:
+            break
+        coo = increment.tocoo()
+        total[coo.row, coo.col] += coo.data
+    return total
+
+
 def _chain(k):
     nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(k)]
     edges = [(f"n{i}", f"n{i+1}") for i in range(k - 1)]
@@ -74,26 +96,26 @@ def _chain(k):
 
 class TestOperator:
     def test_fix7_rows(self, fix7_graph):
-        op = build_operator(fix7_graph)
-        row1 = op.matrix[0]
+        w = as_scipy(build_operator(fix7_graph))
+        row1 = w[0]
         assert dict(zip(row1.indices.tolist(), row1.data.tolist())) == {1: 0.5, 2: 0.5}
-        assert op.matrix[5].nnz == 0  # node 6 is a sink
-        row3 = op.matrix[2]
+        assert w[5].nnz == 0  # node 6 is a sink
+        row3 = w[2]
         assert dict(zip(row3.indices.tolist(), row3.data.tolist())) == {4: 1.0}
 
     def test_nonempty_rows_sum_to_one(self, fix7_graph):
         op = build_operator(fix7_graph)
-        sums = np.asarray(op.matrix.sum(axis=1)).ravel()
+        sums = np.asarray(as_scipy(op).sum(axis=1)).ravel()
         out = fix7_graph.outdegree
         assert np.all(np.abs(sums[out > 0] - 1.0) <= 1e-12)
         assert np.all(sums[out == 0] == 0.0)
 
     def test_nilpotency_is_exact(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        current = fix7_membership.weights
+        current = as_scipy(fix7_membership).toarray()
         for _ in range(op.order_bound + 1):
             current = propagate(op, current)
-        assert current.nnz == 0
+        assert not current.any()
 
     def test_order_bound_matches_longest_path(self, fix7_graph):
         assert build_operator(fix7_graph).order_bound == 3
@@ -102,9 +124,11 @@ class TestOperator:
 class TestPropagate:
     def test_membership_step(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        out = propagate(op, fix7_membership.weights).toarray()
+        q = as_scipy(fix7_membership)
+        out = propagate(op, q.toarray())
         assert out[0].tolist() == [0.5, 0.5, 0.0]  # node 1 cites 2 in X, 3 in Y
         assert out[5].tolist() == [0.0, 0.0, 0.0]  # sink row
+        assert out.tobytes() == (as_scipy(op) @ q.toarray()).tobytes()
 
     def test_zeros_stay_zero(self, fix7_graph):
         op = build_operator(fix7_graph)
@@ -116,12 +140,44 @@ class TestPropagate:
         with pytest.raises(ValueError, match="rows"):
             propagate(op, np.zeros((6, 2)))
 
+    @pytest.mark.parametrize(
+        "csr",
+        [
+            ([0, 1, 3], [0, 2, 1], [1.0, 1.0, 1.0], 2),  # column past ncols
+            ([0, 1, 3], [0, -1, 1], [1.0, 1.0, 1.0], 2),  # negative column
+            ([0, 2, 1], [0, 1], [1.0, 1.0], 2),  # row pointers go back
+            ([0, 1, 4], [0, 1, 1], [1.0, 1.0, 1.0], 2),  # past the entries
+            ([0, 1, 2], [0, 1], [1.0], 2),  # fewer values than indices
+            ([1, 1, 2], [0, 1], [1.0, 1.0], 2),  # does not start at 0
+        ],
+    )
+    def test_malformed_csr_raises(self, csr):
+        indptr, indices, data, ncols = csr
+        csr = (np.array(indptr), np.array(indices), np.array(data), ncols)
+        with pytest.raises(ValueError, match="malformed"):
+            propagate(csr, np.ones((ncols, 2)))
+
+    def test_malformed_membership_raises(self, fix7_graph, fix7_membership):
+        bad = Membership(k=2, labels=("X", "Y"), indptr=fix7_membership.indptr,
+                         indices=fix7_membership.indices, data=fix7_membership.data)
+        with pytest.raises(ValueError, match="malformed"):
+            flow_decomposition(build_operator(fix7_graph), bad)
+
+    def test_malformed_operator_raises(self, fix7_graph, fix7_membership):
+        op = build_operator(fix7_graph)
+        bad = dataclasses.replace(op, indices=np.where(op.indices == 6, -1, op.indices))
+        with pytest.raises(ValueError, match="malformed"):
+            flow_decomposition(bad, fix7_membership)
+
     def test_sparse_and_dense_inputs_agree_bitwise(self):
+        # scipy's products of the sparse and of the dense membership are
+        # the oracles of the dense path.
         graph, membership = random_dag(SynthSpec(n=300, target_m=900, k=5, seed=9))
         op = build_operator(graph)
-        from_sparse = propagate(op, membership.weights).toarray()
-        from_dense = propagate(op, membership.weights.toarray())
-        assert from_sparse.tobytes() == from_dense.tobytes()
+        w, q = as_scipy(op), as_scipy(membership)
+        out = propagate(op, q.toarray())
+        assert out.tobytes() == (w @ q).toarray().tobytes()
+        assert out.tobytes() == (w @ q.toarray()).tobytes()
 
 
 class TestDependenceStack:
@@ -131,18 +187,18 @@ class TestDependenceStack:
         assert decomp.order_count == 3
         assert decomp.complete
         # the next application would be exactly the zero matrix
-        last = fix7_membership.weights
+        last = as_scipy(fix7_membership).toarray()
         for _ in range(decomp.order_count):
             last = propagate(op, last)
-        assert last.nnz > 0
-        assert propagate(op, last).nnz == 0
+        assert last.any()
+        assert not propagate(op, last).any()
 
     def test_edgeless_graph_stack_is_membership_only(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
             EdgeTable.from_pairs([]),
         )
-        q = sparse.csr_matrix(np.array([[1.0], [1.0]]))
+        q = np.array([[1.0], [1.0]])
         decomp = flow_decomposition(build_operator(graph), q)
         assert decomp.order_count == 0
         assert decomp.complete
@@ -173,9 +229,9 @@ class TestTotalDependence:
 
     def test_truncated_sum_covers_short_paths_only(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        q = fix7_membership.weights
+        q = as_scipy(fix7_membership)
         partial = dependence_stack(op, fix7_membership, max_order=1)
-        assert np.array_equal(partial, q.toarray() + propagate(op, q).toarray())
+        assert np.array_equal(partial, q.toarray() + (as_scipy(op) @ q).toarray())
 
     def test_row_sums_equal_dependence_vector(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
@@ -202,28 +258,28 @@ class TestDependenceVector:
     def test_fixed_point_residual(self, fix7_graph):
         op = build_operator(fix7_graph)
         r = dependence_vector(op)
-        residual = np.abs(r - (op.matrix @ r + 1.0)).max()
+        residual = np.abs(r - (as_scipy(op) @ r + 1.0)).max()
         assert residual <= 1e-9
 
 
 class TestSourceDependence:
     def test_fix7_entries(self, fix7_graph, fix7_membership):
-        s = source_dependence(build_operator(fix7_graph), fix7_membership)
+        s = _source_dependence(build_operator(fix7_graph), fix7_membership)
         idx = fix7_graph.id_index
         assert s[0, idx["6"]] == pytest.approx(19 / 8, abs=1e-12)
         assert s[2, idx["1"]] == 0.0
         assert s[1, idx["5"]] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_membership_weighted_oracle(self, fix7_graph, fix7_membership):
-        s = source_dependence(build_operator(fix7_graph), fix7_membership)
-        oracle = fix7_membership.weights.toarray().T @ dense_dependence(fix7_graph)
+        s = _source_dependence(build_operator(fix7_graph), fix7_membership)
+        oracle = as_scipy(fix7_membership).toarray().T @ dense_dependence(fix7_graph)
         assert np.abs(s - oracle).max() <= 1e-9
 
     def test_times_membership_gives_total_flow(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
-        s = source_dependence(op, fix7_membership)
+        s = _source_dependence(op, fix7_membership)
         flow = flow_decomposition(op, fix7_membership)
-        assert np.abs(s @ fix7_membership.weights.toarray() - flow.total).max() <= 1e-9
+        assert np.abs(s @ as_scipy(fix7_membership).toarray() - flow.total).max() <= 1e-9
 
 
 class TestFlowDecomposition:
@@ -263,7 +319,7 @@ class TestOracleAgreement:
         graph, membership = random_dag(SynthSpec(n=150, target_m=450, k=6, seed=seed))
         op = build_operator(graph)
         total = dependence_stack(op, membership)
-        oracle = dense_dependence(graph) @ membership.weights.toarray()
+        oracle = dense_dependence(graph) @ as_scipy(membership).toarray()
         assert np.abs(total - oracle).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", [3, 17])
@@ -337,7 +393,7 @@ class TestHeightOrderedIteration:
         bound = op.order_bound
         max_order = {"1": 1, "2": 2, "L": bound, "L+3": bound + 3, "auto": AUTO}[which]
         limit = bound if max_order == AUTO else max_order
-        q = membership.weights
+        q = as_scipy(membership)
 
         flows, total, r = _full_flows(op, q, limit)
         decomp = flow_decomposition(op, membership, max_order)
@@ -367,3 +423,69 @@ class TestHeightOrderedIteration:
         op = build_operator(fix7_graph)
         assert edge_work(op, 3) == 15
         assert edge_work(op, 1) == fix7_graph.m
+
+
+@st.composite
+def _csr_arrays(draw):
+    """CSR arrays with empty rows, repeated and unsorted columns, and
+    possibly a single row or no column at all."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    values = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+    entry = st.tuples(st.integers(0, max(ncols - 1, 0)), values)
+    per_row = [
+        draw(st.lists(entry, max_size=4 if ncols else 0)) for _ in range(rows)
+    ]
+    indptr = np.cumsum([0] + [len(row) for row in per_row])
+    indices = np.array([c for row in per_row for c, _ in row], dtype=np.int64)
+    data = np.array([v for row in per_row for _, v in row], dtype=np.float64)
+    return indptr, indices, data, ncols
+
+
+class TestPlainArrayKernels:
+    """The kernels on plain CSR arrays against scipy.sparse, bit for bit."""
+
+    @given(csr=_csr_arrays(), width=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_product_matches_scipy(self, csr, width, seed):
+        a = sparse.csr_matrix((csr[2], csr[1], csr[0]), shape=(len(csr[0]) - 1, csr[3]))
+        x = np.random.default_rng(seed).standard_normal((csr[3], width)) * 1e3
+        assert propagate(csr, x).tobytes() == np.asarray(a @ x).tobytes()
+
+    @given(csr=_csr_arrays())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_transpose_and_dense_match_scipy(self, csr):
+        a = sparse.csr_matrix((csr[2], csr[1], csr[0]), shape=(len(csr[0]) - 1, csr[3]))
+        indptr, indices, data, ncols = dependence._transpose(csr)
+        oracle = a.T.tocsr()
+        assert ncols == a.shape[0]
+        assert indptr.tolist() == oracle.indptr.tolist()
+        assert indices.tolist() == oracle.indices.tolist()
+        assert data.tobytes() == oracle.data.tobytes()
+        assert dependence._dense(csr).tobytes() == a.toarray().tobytes()
+
+    @given(csr=_csr_arrays(), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_take_rows_matches_scipy(self, csr, data):
+        rows = len(csr[0]) - 1
+        order = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=8)),
+                         dtype=np.int64)
+        a = sparse.csr_matrix((csr[2], csr[1], csr[0]), shape=(rows, csr[3]))
+        indptr, indices, values, ncols = dependence._take_rows(csr, order)
+        oracle = a[order]
+        assert ncols == csr[3]
+        assert indptr.tolist() == oracle.indptr.tolist()
+        assert indices.tolist() == oracle.indices.tolist()
+        assert values.tobytes() == oracle.data.tobytes()
+
+    @given(csr=_csr_arrays())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_membership_sizes_match_scipy(self, csr):
+        indptr, indices, data, k = csr
+        assume(k > 0)
+        membership = Membership(k=k, labels=tuple(map(str, range(k))),
+                                indptr=indptr, indices=indices, data=data)
+        oracle = np.asarray(
+            sparse.csr_matrix((data, indices, indptr), shape=(membership.n, k)).sum(axis=0)
+        ).ravel()
+        assert membership.sizes().tobytes() == oracle.tobytes()
