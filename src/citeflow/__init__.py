@@ -36,7 +36,6 @@ from .citegraph import (
     parse_edges,
     parse_membership,
     parse_nodes,
-    topological_order,
 )
 from .dependence import (
     AUTO,
@@ -58,6 +57,7 @@ from .refkit import (
     exhaustive_modularity,
     modularity,
     random_dag,
+    topological_order,
 )
 
 __version__ = "0.1.0"

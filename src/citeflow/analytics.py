@@ -11,10 +11,8 @@ exactly invariant under a relabeling of the disciplines.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -195,19 +193,18 @@ def detect_communities(net: DisciplineNetwork) -> list[list[int]]:
     return [sorted(c) for c in sorted(members.values(), key=min)]
 
 
-def betweenness_centrality(net: DisciplineNetwork, weighted: bool = False) -> np.ndarray:
+def betweenness_centrality(net: DisciplineNetwork) -> np.ndarray:
     """Shortest-path betweenness over the network topology.
 
-    The default ignores edge weights for distances (every edge has
-    length one); weighted mode treats the stored weight as a length.
-    Scores are unnormalized, shortest paths split evenly, and each
-    unordered pair contributes once.
+    Every edge has length one, whatever its weight. Scores are
+    unnormalized, shortest paths split evenly, and each unordered pair
+    contributes once.
     """
     k = net.size
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for (u, v), w in sorted(net.edges.items()):
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
+    adjacency: list[list[int]] = [[] for _ in range(k)]
+    for u, v in sorted(net.edges):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     scores = [0.0] * k
     for s in range(k):
         sigma = [0.0] * k
@@ -215,38 +212,17 @@ def betweenness_centrality(net: DisciplineNetwork, weighted: bool = False) -> np
         dist = [math.inf] * k
         dist[s] = 0.0
         preds: list[list[int]] = [[] for _ in range(k)]
-        order: list[int] = []
-        if not weighted:
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v, _ in adjacency[u]:
-                    if dist[v] == math.inf:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-                    if dist[v] == dist[u] + 1:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        else:
-            settled = [False] * k
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heappop(heap)
-                if settled[u]:
-                    continue
-                settled[u] = True
-                order.append(u)
-                for v, w in adjacency[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        sigma[v] = sigma[u]
-                        preds[v] = [u]
-                        heappush(heap, (nd, v))
-                    elif nd == dist[v] and not settled[v]:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
+        # Breadth-first: the loop visits nodes in the order they are
+        # appended, so ``order`` is the queue and the visiting order.
+        order = [s]
+        for u in order:
+            for v in adjacency[u]:
+                if dist[v] == math.inf:
+                    dist[v] = dist[u] + 1
+                    order.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
         delta = [0.0] * k
         for u in reversed(order):
             for p in preds[u]:

@@ -20,7 +20,6 @@ bytes that are not UTF-8) that comes after it.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
 import operator
@@ -541,34 +540,6 @@ def graph_from_indices(
         duplicate_edges_discarded=duplicates,
     )
     return graph, report
-
-
-def topological_order(graph: CitationGraph) -> np.ndarray:
-    """Permutation of node indices in which every citer precedes its cited.
-
-    Ties are broken by ascending external id, so the order, and
-    everything derived from it, is reproducible across runs.
-    """
-    if graph.m:
-        indeg = np.bincount(graph.indices, minlength=graph.n).astype(np.int64)
-    else:
-        indeg = np.zeros(graph.n, dtype=np.int64)
-    heap = [(graph.node_ids[i], i) for i in range(graph.n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = np.empty(graph.n, dtype=np.int64)
-    filled = 0
-    indptr, indices, node_ids = graph.indptr, graph.indices, graph.node_ids
-    while heap:
-        _, u = heapq.heappop(heap)
-        order[filled] = u
-        filled += 1
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, (node_ids[v], int(v)))
-    if filled != graph.n:
-        raise InternalInvariantError("cycle detected in citation graph")
-    return order
 
 
 def longest_path_length(graph: CitationGraph) -> int:

@@ -17,7 +17,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,33 +26,6 @@ from . import analytics, citegraph, dependence, refkit
 
 def _fmt(x) -> str:
     return "%.12g" % (float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything the compute pipeline needs."""
-
-    nodes: Path
-    edges: Path
-    membership: Path
-    out: Path
-    max_order: object = dependence.AUTO
-    norm_kind: str = analytics.ENTRYWISE_L1
-    hi_pct: int = 90
-    lo_pct: int = 10
-    betweenness: str = "unweighted"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo_pct < self.hi_pct <= 100:
-            raise ValueError(
-                f"need 0 <= lo_pct < hi_pct <= 100, got {self.lo_pct}/{self.hi_pct}"
-            )
-        if self.max_order != dependence.AUTO and int(self.max_order) < 1:
-            raise ValueError("max_order must be AUTO or >= 1")
-        if self.norm_kind not in (analytics.ENTRYWISE_L1, analytics.FROBENIUS):
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        if self.betweenness not in ("weighted", "unweighted"):
-            raise ValueError(f"unknown betweenness mode {self.betweenness!r}")
 
 
 # The per-order flow files that compute writes, M_1.csv, M_2.csv, ...
@@ -210,24 +182,24 @@ def _svg_text(contrib: analytics.OrderContributions) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_compute(config: RunConfig) -> int:
+def cmd_compute(args: argparse.Namespace) -> int:
     """Run the full pipeline and write its artifacts into the output dir.
 
-    The files are written into a temporary directory inside
-    ``config.out`` and moved into place only when all of them are
-    written; order files (``M_<i>.csv``) that an earlier run left
-    beyond this run's orders are then removed. A failed run leaves the
-    output directory as it was. Files that compute does not write are
-    kept.
+    ``args`` holds the parsed ``compute`` options. The files are
+    written into a temporary directory inside ``args.out`` and moved
+    into place only when all of them are written; order files
+    (``M_<i>.csv``) that an earlier run left beyond this run's orders
+    are then removed. A failed run leaves the output directory as it
+    was. Files that compute does not write are kept.
     """
     started = time.perf_counter()
-    out_dir = Path(config.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
     staging = Path(tempfile.mkdtemp(prefix=".citeflow-", dir=out_dir))
     try:
-        names = _write_results(config, staging)
+        names = _write_results(args, staging)
         for name in names:
             os.replace(staging / name, out_dir / name)
         for stale in out_dir.iterdir():
@@ -240,9 +212,9 @@ def cmd_compute(config: RunConfig) -> int:
     return 0
 
 
-def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
+def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
     """Compute every artifact into ``out_dir``; return the file names."""
-    graph, membership, report = _ingest(config.nodes, config.edges, config.membership)
+    graph, membership, report = _ingest(args.nodes, args.edges, args.membership)
     _log(
         f"graph: n={graph.n} m={graph.m} "
         f"synchronous={report.synchronous_edges_discarded} "
@@ -251,7 +223,7 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
     )
     operator = dependence.build_operator(graph)
     _log(f"operator: longest path {operator.order_bound}")
-    decomp = dependence.flow_decomposition(operator, membership, config.max_order)
+    decomp = dependence.flow_decomposition(operator, membership, args.max_order)
     work = dependence.edge_work(operator, decomp.order_count)
     full = decomp.order_count * graph.m
     _log(
@@ -264,12 +236,10 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
     contrib_fro = analytics.order_contributions(decomp, analytics.FROBENIUS)
     norm = analytics.normalized_flow(flow)
     positive, negative = analytics.threshold_network(
-        norm.normalized, config.hi_pct, config.lo_pct
+        norm.normalized, args.hi_pct, args.lo_pct
     )
     communities = analytics.detect_communities(positive)
-    betweenness = analytics.betweenness_centrality(
-        positive, weighted=(config.betweenness == "weighted")
-    )
+    betweenness = analytics.betweenness_centrality(positive)
     rao = analytics.rao_entropy(flow)
     summary = analytics.discipline_summary(flow, membership.sizes())
     zero_weight = sum(w == 0.0 for w in positive.edges.values())
@@ -331,7 +301,7 @@ def _write_results(config: RunConfig, out_dir: Path) -> list[str]:
     write_table("rao.csv", ["discipline", "score"], [labels], rao.scores[:, None])
     write_text("positive.dot", _dot_text("positive", labels, positive, community_of))
     write_text("negative.dot", _dot_text("negative", labels, negative, community_of))
-    chosen = contrib_l1 if config.norm_kind == analytics.ENTRYWISE_L1 else contrib_fro
+    chosen = contrib_l1 if args.norm == analytics.ENTRYWISE_L1 else contrib_fro
     write_text("contributions.svg", _svg_text(chosen))
     return written
 
@@ -362,25 +332,18 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     return 0
 
 
-def _max_order_arg(value: str):
-    if value.lower() == "auto":
-        return dependence.AUTO
+def _positive_int(value: str) -> int:
     try:
         parsed = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected AUTO or a positive integer, got {value!r}"
-        ) from None
+        parsed = 0
     if parsed < 1:
-        raise argparse.ArgumentTypeError("max order must be >= 1")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
     return parsed
 
 
-def _check_threads(value: int | None) -> None:
-    """Validate ``--threads``; the engine is single-threaded, so a valid
-    value changes nothing, but a malformed one is still an input error."""
-    if value is not None and value < 1:
-        raise ValueError("threads must be >= 1")
+def _max_order_arg(value: str):
+    return dependence.AUTO if value.lower() == "auto" else _positive_int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,11 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--hi-pct", type=int, default=90)
     compute.add_argument("--lo-pct", type=int, default=10)
     compute.add_argument(
-        "--betweenness", choices=["weighted", "unweighted"], default="unweighted"
-    )
-    compute.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         help="accepted for compatibility and must be >= 1. The engine is "
         "single-threaded, so the value changes neither results nor speed",
@@ -442,19 +402,11 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args.nodes, args.edges, args.membership)
         if args.command == "compute":
-            _check_threads(args.threads)
-            config = RunConfig(
-                nodes=args.nodes,
-                edges=args.edges,
-                membership=args.membership,
-                out=args.out,
-                max_order=args.max_order,
-                norm_kind=args.norm,
-                hi_pct=args.hi_pct,
-                lo_pct=args.lo_pct,
-                betweenness=args.betweenness,
-            )
-            return cmd_compute(config)
+            if not 0 <= args.lo_pct < args.hi_pct <= 100:
+                raise ValueError(
+                    f"need 0 <= lo_pct < hi_pct <= 100, got {args.lo_pct}/{args.hi_pct}"
+                )
+            return cmd_compute(args)
         if args.command == "synth":
             spec = refkit.SynthSpec(
                 n=args.n,

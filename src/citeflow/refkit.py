@@ -9,6 +9,7 @@ are correctness tools, not performance paths.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings as _warnings
 from dataclasses import dataclass
@@ -20,10 +21,10 @@ from .analytics import DisciplineNetwork
 from .citegraph import (
     CiteflowError,
     CitationGraph,
+    InternalInvariantError,
     Membership,
     PubTime,
     graph_from_indices,
-    topological_order,
 )
 
 PATH_GUARD = 10**6
@@ -117,6 +118,34 @@ def enumerate_dependence_row(
             for v in indices[indptr[u] : indptr[u + 1]]:
                 work.append((int(v), step))
     return acc
+
+
+def topological_order(graph: CitationGraph) -> np.ndarray:
+    """Permutation of node indices in which every citer precedes its cited.
+
+    Ties are broken by ascending external id, so the order, and
+    everything derived from it, is reproducible across runs.
+    """
+    if graph.m:
+        indeg = np.bincount(graph.indices, minlength=graph.n).astype(np.int64)
+    else:
+        indeg = np.zeros(graph.n, dtype=np.int64)
+    heap = [(graph.node_ids[i], i) for i in range(graph.n) if indeg[i] == 0]
+    heapq.heapify(heap)
+    order = np.empty(graph.n, dtype=np.int64)
+    filled = 0
+    indptr, indices, node_ids = graph.indptr, graph.indices, graph.node_ids
+    while heap:
+        _, u = heapq.heappop(heap)
+        order[filled] = u
+        filled += 1
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, (node_ids[v], int(v)))
+    if filled != graph.n:
+        raise InternalInvariantError("cycle detected in citation graph")
+    return order
 
 
 def dense_dependence(graph: CitationGraph, max_nodes: int = DENSE_GUARD) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -285,14 +284,6 @@ class TestBetweenness:
         net = DisciplineNetwork(4, _clique(4))
         assert np.all(betweenness_centrality(net) == 0.0)
 
-    def test_weighted_mode_uses_lengths(self):
-        # direct 0-2 edge is longer than the 0-1-2 detour
-        net = DisciplineNetwork(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 5.0})
-        unweighted = betweenness_centrality(net, weighted=False)
-        weighted = betweenness_centrality(net, weighted=True)
-        assert unweighted[1] == 0.0
-        assert weighted[1] == 1.0
-
 
 class TestIncomingShares:
     def test_fix7_columns(self):
@@ -517,8 +508,9 @@ class TestLoopOracles:
 
 
 # The dict-based ``threshold_network`` and ``detect_communities`` and the
-# numpy-array ``betweenness_centrality`` as they were before the k x k
-# rewrite, kept unchanged as the oracle: the rewrites must agree bit for bit.
+# numpy-array ``betweenness_centrality`` (less its dropped weighted mode)
+# as they were before the k x k rewrite, kept as the oracle: the rewrites
+# must agree bit for bit.
 def _oracle_threshold_network(
     fhat, hi_pct=90, lo_pct=10
 ) -> tuple[DisciplineNetwork, DisciplineNetwork]:
@@ -579,9 +571,7 @@ def _oracle_detect_communities(net: DisciplineNetwork) -> list[list[int]]:
     return [sorted(c) for c in sorted(members.values(), key=min)]
 
 
-def _oracle_betweenness_centrality(
-    net: DisciplineNetwork, weighted: bool = False
-) -> np.ndarray:
+def _oracle_betweenness_centrality(net: DisciplineNetwork) -> np.ndarray:
     k = net.size
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(k)]
     for (u, v), w in sorted(net.edges.items()):
@@ -595,37 +585,17 @@ def _oracle_betweenness_centrality(
         dist[s] = 0.0
         preds: list[list[int]] = [[] for _ in range(k)]
         order: list[int] = []
-        if not weighted:
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v, _ in adjacency[u]:
-                    if dist[v] == np.inf:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-                    if dist[v] == dist[u] + 1:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        else:
-            settled = [False] * k
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heappop(heap)
-                if settled[u]:
-                    continue
-                settled[u] = True
-                order.append(u)
-                for v, w in adjacency[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        sigma[v] = sigma[u]
-                        preds[v] = [u]
-                        heappush(heap, (nd, v))
-                    elif nd == dist[v] and not settled[v]:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v, _ in adjacency[u]:
+                if dist[v] == np.inf:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
         delta = np.zeros(k, dtype=np.float64)
         for u in reversed(order):
             for p in preds[u]:
@@ -635,8 +605,8 @@ def _oracle_betweenness_centrality(
     return scores / 2.0
 
 
-# Integer weights force tied gains and equal path lengths; zero weights
-# are common in practice (most positive edges of ``wide`` weigh 0).
+# Integer weights force tied gains; zero weights are common in practice
+# (most positive edges of ``wide`` weigh 0).
 _WEIGHT = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(1e-3, 1e3)
 
 
@@ -655,11 +625,11 @@ def _networks(draw):
 
 def _assert_network_matches_oracle(net):
     assert detect_communities(net) == _oracle_detect_communities(net)
-    for weighted in (False, True):
-        assert (
-            betweenness_centrality(net, weighted).tobytes()
-            == _oracle_betweenness_centrality(net, weighted).tobytes()
-        )
+    scores = betweenness_centrality(net)
+    assert scores.tobytes() == _oracle_betweenness_centrality(net).tobytes()
+    # every edge has length one, so the weights do not matter
+    unit = DisciplineNetwork(net.size, dict.fromkeys(net.edges, 1.0))
+    assert scores.tobytes() == betweenness_centrality(unit).tobytes()
 
 
 def _items(net):

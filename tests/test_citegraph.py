@@ -27,10 +27,10 @@ from citeflow import (
     parse_membership,
     parse_nodes,
     random_dag,
-    topological_order,
 )
 from citeflow import citegraph
 from citeflow.citegraph import MAX_YEAR
+from citeflow.refkit import topological_order
 from conftest import (
     EDGES_CSV,
     FIX7_EDGES,

@@ -316,9 +316,17 @@ class TestCompute:
         assert "analytics: k=3 communities=3 positive_edges=1 zero_weight=1\n" in err
         assert not any("zero_weight" in p.read_text() for p in out.iterdir())
 
-    def test_bad_percentiles_exit_2(self, fix7_files, tmp_path):
-        code = _compute(fix7_files, tmp_path / "x", "--hi-pct", "10", "--lo-pct", "90")
-        assert code == 2
+    @pytest.mark.parametrize("pcts", ["10/90", "50/50", "101/10", "90/-1"])
+    def test_bad_percentiles_exit_2(self, tmp_path, capsys, pcts):
+        # inputs that do not exist: the range is checked before any is read
+        hi, lo = pcts.split("/")
+        missing = [tmp_path / name for name in ("n.csv", "e.csv", "m.csv")]
+        out = tmp_path / "x"
+        assert _compute(missing, out, "--hi-pct", hi, "--lo-pct", lo) == 2
+        err = capsys.readouterr().err
+        assert f"need 0 <= lo_pct < hi_pct <= 100, got {lo}/{hi}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_rerun_replaces_earlier_artifacts(self, fix7_files, tmp_path):
         out = tmp_path / "out"
@@ -380,8 +388,14 @@ class TestCompute:
         assert _compute(fix7_files, blocker) == 2
 
     def test_zero_max_order_rejected_by_parser(self, fix7_files, tmp_path):
+        for option in ("--max-order", "--threads"):
+            with pytest.raises(SystemExit) as err:
+                _compute(fix7_files, tmp_path / "x", option, "0")
+            assert err.value.code == 2
+
+    def test_weighted_betweenness_rejected_by_parser(self, fix7_files, tmp_path):
         with pytest.raises(SystemExit) as err:
-            _compute(fix7_files, tmp_path / "x", "--max-order", "0")
+            _compute(fix7_files, tmp_path / "x", "--betweenness", "weighted")
         assert err.value.code == 2
 
 

@@ -28,8 +28,8 @@ from citeflow import (
     modularity,
     random_dag,
     refkit,
-    topological_order,
 )
+from citeflow.refkit import topological_order
 from conftest import FIX7_P_ROW1, as_scipy
 
 
