@@ -118,6 +118,12 @@ def _nearest_rank(values: list[float], pct) -> float:
     return ordered[max(rank, 1) - 1]
 
 
+def check_percentiles(hi_pct, lo_pct) -> None:
+    """Raise ValueError unless 0 <= lo_pct < hi_pct <= 100."""
+    if not 0 <= lo_pct < hi_pct <= 100:
+        raise ValueError(f"need 0 <= lo_pct < hi_pct <= 100, got {lo_pct}/{hi_pct}")
+
+
 def threshold_network(
     fhat, hi_pct=90, lo_pct=10
 ) -> tuple[DisciplineNetwork, DisciplineNetwork]:
@@ -129,10 +135,10 @@ def threshold_network(
     percentile. Stored weights are the pair value (positive network)
     and its negation (negative network), both floored at zero. Ties at
     a cutoff are kept, so a degenerate all-equal input returns every
-    pair on both sides.
+    pair on both sides. Raises ValueError unless
+    0 <= lo_pct < hi_pct <= 100.
     """
-    if not hi_pct > lo_pct:
-        raise ValueError(f"hi_pct ({hi_pct}) must exceed lo_pct ({lo_pct})")
+    check_percentiles(hi_pct, lo_pct)
     f = np.asarray(fhat, dtype=np.float64)
     k = f.shape[0]
     if k < 2:

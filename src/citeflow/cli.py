@@ -38,9 +38,10 @@ def _log(msg: str) -> None:
 
 def _ingest(nodes_path, edges_path, membership_path):
     nodes, node_warnings = citegraph.parse_nodes(nodes_path)
-    edges = citegraph.parse_edges(edges_path)
     try:
-        graph, report = citegraph.build_graph(nodes, edges)
+        # No name holds the edge table, so its id strings are freed
+        # before the membership is read.
+        graph, report = citegraph.build_graph(nodes, citegraph.parse_edges(edges_path))
     except citegraph.UnknownIdError as exc:
         raise exc.at(edges_path) from None
     membership, mem_warnings = citegraph.parse_membership(membership_path, graph)
@@ -402,10 +403,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args.nodes, args.edges, args.membership)
         if args.command == "compute":
-            if not 0 <= args.lo_pct < args.hi_pct <= 100:
-                raise ValueError(
-                    f"need 0 <= lo_pct < hi_pct <= 100, got {args.lo_pct}/{args.hi_pct}"
-                )
+            analytics.check_percentiles(args.hi_pct, args.lo_pct)
             return cmd_compute(args)
         if args.command == "synth":
             spec = refkit.SynthSpec(

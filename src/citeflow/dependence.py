@@ -7,7 +7,8 @@ with at most ``longest_path_length`` + 1 terms, and iteration stops on
 an exactly zero increment rather than an epsilon test. The full n x n
 dependence matrix is never materialized; one pass carries a dense
 n x (k+1) block through the iteration and keeps only its k x k
-projections and the dependence vector.
+projections and the dependence vector. Each order overwrites that one
+block in place, so the only other dense memory is one group of rows.
 
 The pass runs in height order. The height of a publication is the
 length of the longest path that starts there, and the order-t block
@@ -23,13 +24,21 @@ publication order, and sums into ``r`` and the dependence stack run
 over the same row prefix; the result is put back in publication order
 once, at the end.
 
+A publication cites only publications of lower height, which come
+later in the height order. So order t can overwrite the block top-down
+in consecutive groups of rows: each group's image is read from rows
+that are still unchanged (its own, or rows below it) into a fresh
+array, then assigned back. The split into groups does not change any
+output row.
+
 The result is byte-identical to the full-operator iteration. Every
 product runs through scipy's compiled ``csr_matvecs`` kernel on plain
 CSR arrays (see ``_sparsetools``), which accumulates each output row
-sequentially, in stored entry order, from +0.0, and every entry keeps
-its stored order here. The terms that are left out are products with
-an exact +0.0 of the previous block, and every term is nonnegative, so
-adding them leaves each partial sum unchanged.
+sequentially, in stored entry order, from +0.0, over the same input
+values whatever the grouping, and every entry keeps its stored order
+here. The terms that are left out are products with an exact +0.0 of
+the previous block, and every term is nonnegative, so adding them
+leaves each partial sum unchanged.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ from ._sparsetools import csr_matvecs, csr_row_index, csr_tocsc, csr_todense
 from .citegraph import CitationGraph, Membership, longest_path_length
 
 AUTO = "auto"
+
+# Output bytes per group of rows when an order updates the block in
+# place: the only dense memory the update takes beyond the block.
+_GROUP_BYTES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +247,13 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
     """Yield ``block`` and its images under operator powers 1..``limit``.
 
     Works in the height order of ``_height_order``: row ``r`` of
-    ``block`` is publication ``order[r]``. The order-t image is yielded
-    as its leading rows, those of height t or more; every later row is
-    exactly zero. Stops early, before yielding it, at the first exactly
-    zero block, which nilpotency guarantees within ``order_bound`` + 1
-    steps. No earlier block is kept, so at most two are alive at once.
+    ``block``, a C-contiguous float64 array, is publication
+    ``order[r]``. Each order overwrites ``block`` in place and is
+    yielded as a view of its leading rows, those of height t or more;
+    every later row of the image is exactly zero. So a yielded block
+    holds only until the next one is asked for. Stops early, before
+    yielding it, at the first exactly zero block, which nilpotency
+    guarantees within ``order_bound`` + 1 steps.
     """
     # at_least[t]: how many publications have height t or more.
     at_least = np.cumsum(np.bincount(operator.heights)[::-1])[::-1]
@@ -246,15 +261,25 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
         (operator.indptr, operator.indices, operator.data, operator.n)
     )
     step = _take_rows((indptr, position[indices], data, n), order)
+    group = max(1, _GROUP_BYTES // (block.itemsize * max(block.shape[1], 1)))
     yield block
     for t in range(1, min(limit, operator.order_bound) + 1):
         # Edges whose cited end has height t - 1 or more, from the
         # previous order's edges; their citing ends have height >= t.
         step = _corner(step, int(at_least[t]), int(at_least[t - 1]))
-        block = propagate(step, block)
-        if not block.any():
+        step_indptr, step_indices, step_data, columns = step
+        rows = int(at_least[t])
+        # A row reads only rows of lower height, all of them below it, so
+        # rows a..b-1 read nothing that an earlier group overwrote.
+        for a in range(0, rows, group):
+            b = min(a + group, rows)
+            lo, hi = step_indptr[a], step_indptr[b]
+            rows_ab = (step_indptr[a : b + 1] - lo, step_indices[lo:hi],
+                       step_data[lo:hi], columns)
+            block[a:b] = propagate(rows_ab, block[:columns])
+        if not block[:rows].any():
             return
-        yield block
+        yield block[:rows]
 
 
 def dependence_stack(
@@ -267,11 +292,12 @@ def dependence_stack(
     ``max_order``; AUTO takes every path, which gives the total
     dependence.
     """
-    q = _dense(_membership_csr(membership, operator.n))
+    q = _membership_csr(membership, operator.n)
     order, position = _height_order(operator)
-    total = np.zeros(q.shape, dtype=np.float64)
+    block = _dense(_take_rows(q, order))
+    total = np.zeros(block.shape, dtype=np.float64)
     limit = _order_limit(operator, max_order)
-    for block in _powers(operator, order, position, q[order], limit):
+    for block in _powers(operator, order, position, block, limit):
         total[: len(block)] += block
     return total[position]
 
@@ -320,7 +346,8 @@ def flow_decomposition(
     The iteration starts from the dense block ``[Q | 1]``: the
     membership columns next to a unit column. Each order projects the
     membership columns onto the k x k order flow (``Q^T`` times the
-    block) and adds the unit column into ``r``, then drops the block.
+    block) and adds the unit column into ``r``; the next order then
+    overwrites the block in place.
     Order flows are nonnegative by construction. ``max_order`` AUTO
     runs to the longest path length; a numeric value truncates earlier
     (order-limited analyses).
@@ -329,7 +356,9 @@ def flow_decomposition(
     k = q[3]
     limit = _order_limit(operator, max_order)
     order, position = _height_order(operator)
-    block = np.hstack([_dense(q), np.ones((operator.n, 1))])[order]
+    # [Q | 1] in height order, built once.
+    block = _dense(_take_rows(q, order)[:3] + (k + 1,))
+    block[:, k] = 1.0
     # Q^T with its columns in height order and its entries in publication
     # order, cut to the block's rows at each order.
     qt_indptr, qt_indices, qt_data, _ = _transpose(q)

@@ -190,11 +190,13 @@ class TestThresholdNetwork:
         assert set(positive.edges) == {(0, 1)}
         assert positive.edges[(0, 1)] == 10.0
 
-    def test_hi_pct_zero_keeps_everything(self):
+    def test_lowest_rank_keeps_everything(self):
+        # with 10 pairs, hi_pct 1 is rank 1, the minimum, as is lo_pct 0
         rng = np.random.default_rng(2)
         fhat = rng.standard_normal((5, 5))
-        positive, _ = threshold_network(fhat, 0, -1)
+        positive, negative = threshold_network(fhat, 1, 0)
         assert len(positive.edges) == 10
+        assert len(negative.edges) == 1
 
     def test_single_discipline_yields_empty_networks(self):
         positive, negative = threshold_network(np.array([[1.0]]), 90, 10)
@@ -207,8 +209,13 @@ class TestThresholdNetwork:
         assert negative.edges[(0, 1)] == 6.0
 
     def test_requires_hi_above_lo(self):
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ValueError, match="need 0 <= lo_pct < hi_pct <= 100, got 90/10"):
             threshold_network(np.zeros((3, 3)), 10, 90)
+
+    @pytest.mark.parametrize("hi, lo", [(101, 10), (90, -1), (100.5, 0), (50, 50)])
+    def test_percentiles_out_of_range_raise(self, hi, lo):
+        with pytest.raises(ValueError, match="need 0 <= lo_pct < hi_pct <= 100"):
+            threshold_network(np.zeros((3, 3)), hi, lo)
 
 
 class TestDetectCommunities:
@@ -645,7 +652,9 @@ class TestNetworkOracles:
 
     @given(
         k=st.integers(0, 12),
-        pcts=st.tuples(*[st.sampled_from([-1, 0, 10, 50, 90, 100]) | st.integers(-1, 100)] * 2),
+        pcts=st.tuples(
+            *[st.sampled_from([-1, 0, 10, 50, 90, 100, 101]) | st.integers(-1, 101)] * 2
+        ),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -654,8 +663,8 @@ class TestNetworkOracles:
         fhat = np.array(data.draw(st.lists(cell, min_size=k * k, max_size=k * k)))
         fhat = fhat.reshape(k, k)
         hi, lo = pcts
-        if not hi > lo:
-            with pytest.raises(ValueError, match="exceed"):
+        if not 0 <= lo < hi <= 100:
+            with pytest.raises(ValueError, match="need 0 <= lo_pct < hi_pct <= 100"):
                 threshold_network(fhat, hi, lo)
             return
         for net, oracle in zip(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +68,11 @@ def _full_stack(op, q, limit):
     for block in _full_powers(op, q.toarray(), limit):
         total += block
     return total
+
+
+def _group_rows(rows, width):
+    """Make each order update a width-``width`` block ``rows`` rows at a time."""
+    return mock.patch.object(dependence, "_GROUP_BYTES", 8 * width * rows)
 
 
 def _source_dependence(op, membership):
@@ -396,18 +403,60 @@ class TestHeightOrderedIteration:
         q = as_scipy(membership)
 
         flows, total, r = _full_flows(op, q, limit)
-        decomp = flow_decomposition(op, membership, max_order)
-        assert decomp.order_count == len(flows) - 1
-        assert decomp.identity_flow.tobytes() == flows[0].tobytes()
-        for got, want in zip(decomp.order_flows, flows[1:]):
-            assert got.tobytes() == want.tobytes()
-        assert decomp.total.tobytes() == total.tobytes()
-        assert decomp.r.tobytes() == r.tobytes()
-        stack = dependence_stack(op, membership, max_order)
-        assert stack.tobytes() == _full_stack(op, q, limit).tobytes()
+        stack_want = _full_stack(op, q, limit)
         ones = sparse.csr_matrix(np.ones((graph.n, 1)))
-        vector = dependence_vector(op, max_order)
-        assert vector.tobytes() == _full_stack(op, ones, limit)[:, 0].tobytes()
+        vector_want = _full_stack(op, ones, limit)[:, 0]
+        # Each order updates its block in place, a group of rows at a
+        # time; any size of group gives the same bytes.
+        for rows in (1, 2, 3, graph.n):
+            with _group_rows(rows, k + 1):
+                decomp = flow_decomposition(op, membership, max_order)
+            assert decomp.order_count == len(flows) - 1
+            assert decomp.identity_flow.tobytes() == flows[0].tobytes()
+            for got, want in zip(decomp.order_flows, flows[1:]):
+                assert got.tobytes() == want.tobytes()
+            assert decomp.total.tobytes() == total.tobytes()
+            assert decomp.r.tobytes() == r.tobytes()
+            with _group_rows(rows, k):
+                stack = dependence_stack(op, membership, max_order)
+            assert stack.tobytes() == stack_want.tobytes()
+            with _group_rows(rows, 1):
+                vector = dependence_vector(op, max_order)
+            assert vector.tobytes() == vector_want.tobytes()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_inputs_are_left_unchanged(self, dense):
+        graph, membership = random_dag(SynthSpec(n=300, target_m=1500, k=3, seed=5))
+        op = build_operator(graph)
+        if dense:
+            membership = as_scipy(membership).toarray()
+            inputs = [membership]
+        else:
+            inputs = [membership.indptr, membership.indices, membership.data]
+        inputs += [op.indptr, op.indices, op.data, op.heights]
+        before = [array.copy() for array in inputs]
+        with _group_rows(2, 4):
+            flow_decomposition(op, membership)
+            dependence_stack(op, membership)
+            dependence_vector(op)
+        for array, copy in zip(inputs, before):
+            assert array.tobytes() == copy.tobytes()
+
+    def test_one_dense_block_at_paper_width(self):
+        # At k=130 the n x (k+1) block is most of the engine's memory; a
+        # second block alive at once would take the peak past 2x.
+        graph, membership = random_dag(
+            SynthSpec(n=20000, target_m=100000, k=130, seed=1)
+        )
+        op = build_operator(graph)
+        block_bytes = graph.n * (membership.k + 1) * 8
+        tracemalloc.start()
+        try:
+            flow_decomposition(op, membership)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_edge_work_counts_the_edges_of_each_order(self, seed):
