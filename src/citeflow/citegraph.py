@@ -6,7 +6,10 @@ CSV inputs describe publications (``id,year,month``), citations
 citations (citing publication not strictly newer than the cited one),
 which guarantees the stored graph is a DAG, collapses duplicate edges,
 and keeps the adjacency in CSR layout sorted by (citing, cited) so
-every downstream computation is reproducible byte for byte.
+every downstream computation is reproducible byte for byte. A graph
+and a classification are each laid out by one function from index
+arrays, ``graph_from_indices`` and ``membership_from_indices``, which
+the parsers and the synthetic generator share.
 
 Each table is read once, into columns with the line of each row. A
 plain table (no quotes or NUL, carriage returns only in CRLF line ends,
@@ -426,8 +429,8 @@ def parse_nodes(path) -> tuple[NodeTable, list[str]]:
         (_blank(ids), lambda i: f"{at(i)}empty node id"),
         (
             _repeats(ids),
-            lambda i: f"duplicate node id {ids[i]} "
-            f"(lines {lines[ids.index(ids[i])]} and {lines[i]})",
+            lambda i: f"{at(i)}duplicate node id {ids[i]} "
+            f"(first on line {lines[ids.index(ids[i])]})",
         ),
         (year_bad, lambda i: f"{at(i)}year {year_s[i]!r} is not an integer"),
         (
@@ -457,8 +460,8 @@ def parse_edges(path) -> EdgeTable:
     table = _csv_columns(path, EDGE_HEADER)
     citing, cited = table.columns
     table.check([
-        (_blank(citing), lambda i: f"missing citing id on line {table.lines[i]}"),
-        (_blank(cited), lambda i: f"missing cited id on line {table.lines[i]}"),
+        (_blank(citing), lambda i: f"{table.at(i)}missing citing id"),
+        (_blank(cited), lambda i: f"{table.at(i)}missing cited id"),
     ])
     return EdgeTable(citing=tuple(citing), cited=tuple(cited), lines=table.lines)
 
@@ -584,9 +587,31 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
         (node < 0, lambda i: f"{at(i)}membership references unknown id {ids[i]!r}"),
     ]
     if table.error is None and not any(np.any(mask) for mask, _ in rules):
-        result = _normalized(graph, node, labels, weight)
-        if result is not None:
-            return result
+        # A publication without a row goes to the synthetic discipline,
+        # which comes last unless the file names it.
+        missing = np.flatnonzero(np.bincount(node, minlength=graph.n) == 0)
+        cell_labels = labels + [UNCLASSIFIED] * missing.size
+        label_pos = {label: j for j, label in enumerate(dict.fromkeys(cell_labels))}
+        col = np.fromiter(map(label_pos.__getitem__, cell_labels), np.int64)
+        try:
+            membership, total = membership_from_indices(
+                graph.n, tuple(label_pos), np.concatenate([node, missing]), col,
+                np.concatenate([weight, np.ones(missing.size)]),
+            )
+        except OverflowError:
+            pass  # the rules below find the row
+        else:
+            warnings = [
+                f"publication {graph.node_ids[i]} has no membership row, "
+                f"assigned to {UNCLASSIFIED}"
+                for i in missing
+            ]
+            warnings += [
+                f"membership rows for {graph.node_ids[i]} sum to "
+                f"{float(total[i]):.12g}; renormalized to 1"
+                for i in np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+            ]
+            return membership, warnings
     # From the first row another rule rejects on, no overflow is reported.
     end = min((np.argmax(m) for m, _ in rules if np.any(m)), default=len(ids))
     rules.append((
@@ -597,54 +622,37 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     raise InternalInvariantError(f"{path}: weights overflow, but on no row")
 
 
-def _normalized(graph, node, labels, weight) -> tuple[Membership, list[str]] | None:
-    """Membership and warnings of checked rows, or None on an overflow."""
-    label_order = list(dict.fromkeys(labels))
-    label_pos = {label: j for j, label in enumerate(label_order)}
-    col = np.fromiter(
-        map(label_pos.__getitem__, labels), dtype=np.int64, count=node.size
-    )
-    warnings: list[str] = []
-    present = np.zeros(graph.n, dtype=bool)
-    present[node] = True
-    missing = np.flatnonzero(~present)
-    if missing.size:
-        if UNCLASSIFIED not in label_pos:
-            label_pos[UNCLASSIFIED] = len(label_order)
-            label_order.append(UNCLASSIFIED)
-        node = np.concatenate([node, missing])
-        col = np.concatenate([col, np.full(missing.size, label_pos[UNCLASSIFIED])])
-        weight = np.concatenate([weight, np.ones(missing.size)])
-        warnings.extend(
-            f"publication {graph.node_ids[i]} has no membership row, "
-            f"assigned to {UNCLASSIFIED}"
-            for i in missing
-        )
+def membership_from_indices(
+    n: int, labels: tuple[str, ...], node, col, weight
+) -> tuple[Membership, np.ndarray]:
+    """Assemble a row-stochastic Membership from index arrays.
 
-    # Rows repeating a (publication, discipline) pair add up in file
-    # order: bincount sums each cell sequentially.
-    k = len(label_order)
+    Entry e gives publication ``node[e]`` the positive weight
+    ``weight[e]`` in discipline ``labels[col[e]]``. Entries repeating a
+    (publication, discipline) cell add up in entry order, and each row is
+    divided by its exactly rounded total; a publication without an entry
+    keeps an empty row. Returns the membership and the row totals.
+
+    Raises:
+        OverflowError: a cell or a row total lies beyond the float range.
+    """
+    k = len(labels)
+    # bincount adds up the entries of each cell sequentially.
     cell, inverse = np.unique(node * k + col, return_inverse=True)
     value = np.bincount(inverse, weights=weight)
     row = cell // k
-    indptr = np.searchsorted(row, np.arange(graph.n + 1))
+    indptr = np.searchsorted(row, np.arange(n + 1))
     # A sum of one or two floats is already rounded exactly; longer
     # (and overflowing) rows go through math.fsum.
-    total = np.bincount(row, weights=value, minlength=graph.n)
+    total = np.bincount(row, weights=value, minlength=n)
     for i in np.flatnonzero((np.diff(indptr) > 2) | ~np.isfinite(total)):
         total[i] = _weight_sum(value[indptr[i] : indptr[i + 1]].tolist())
     if not np.all(np.isfinite(total)):
-        return None
-    for i in np.flatnonzero(np.abs(total - 1.0) > 1e-9):
-        warnings.append(
-            f"membership rows for {graph.node_ids[i]} sum to {float(total[i]):.12g}; "
-            "renormalized to 1"
-        )
+        raise OverflowError("membership weights sum beyond the float range")
     membership = Membership(
-        k=k, labels=tuple(label_order), indptr=indptr, indices=cell % k,
-        data=value / total[row],
+        k=k, labels=labels, indptr=indptr, indices=cell % k, data=value / total[row]
     )
-    return membership, warnings
+    return membership, total
 
 
 def _weight_sum(values) -> float:

@@ -9,6 +9,9 @@ dependence matrix is never materialized; one pass carries a dense
 n x (k+1) block through the iteration and keeps only its k x k
 projections and the dependence vector. Each order overwrites that one
 block in place, so the only other dense memory is one group of rows.
+Each input has one format: the classification is a ``Membership``, which
+``citegraph.membership_from_indices`` makes from index arrays, and
+``propagate`` takes a CSR tuple ``(indptr, indices, data, ncols)``.
 
 The pass runs in height order. The height of a publication is the
 length of the longest path that starts there, and the order-t block
@@ -48,7 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sparsetools import csr_matvecs, csr_row_index, csr_tocsc, csr_todense
-from .citegraph import CitationGraph, Membership, longest_path_length
+from .citegraph import (
+    CitationGraph,
+    Membership,
+    longest_path_length,
+    membership_from_indices,
+)
 
 AUTO = "auto"
 
@@ -130,38 +138,27 @@ def _product(csr, block: np.ndarray) -> np.ndarray:
 
 
 def propagate(operator, matrix):
-    """Apply the operator to a dense matrix.
+    """Apply a CSR corner of the operator to a dense matrix.
 
-    ``operator`` is a NormalizedCitationOperator, or a CSR corner of it
-    such as the engine's per-order step, an ``(indptr, indices, data,
-    ncols)`` tuple; ``matrix`` has one row per operator column. Output
-    row ``i`` is the outdegree-weighted mean of the input rows of the
-    publications that ``i`` cites; sink rows come out zero. Each output
-    row is one sequential accumulation over the cited neighbours in
-    stored order.
+    ``operator`` is an ``(indptr, indices, data, ncols)`` tuple, such as
+    the engine's per-order step, and ``matrix`` has ``ncols`` rows.
+    Output row ``i`` is the outdegree-weighted mean of the input rows of
+    the publications that ``i`` cites, added up sequentially in stored
+    order; sink rows come out zero.
     """
-    w = operator
-    if isinstance(w, NormalizedCitationOperator):
-        w = (w.indptr, w.indices, w.data, w.n)
-    w = _checked(w)
+    w = _checked(operator)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.shape[0] != w[3]:
         raise ValueError(f"matrix has {matrix.shape[0]} rows, operator expects {w[3]}")
     return _product(w, matrix)
 
 
-def _membership_csr(membership, n: int):
-    """``(indptr, indices, data, k)`` of a Membership or a dense n x k array."""
-    if isinstance(membership, Membership):
-        csr = (membership.indptr, membership.indices, membership.data, membership.k)
-    else:
-        dense = np.asarray(membership, dtype=np.float64)
-        rows, cols = np.nonzero(dense)
-        indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
-        csr = (indptr, cols, dense[rows, cols], dense.shape[1])
-    if len(csr[0]) - 1 != n:
-        raise ValueError(f"membership has {len(csr[0]) - 1} rows, operator expects {n}")
-    return _checked(csr)
+def _membership_csr(membership: Membership, n: int):
+    """``(indptr, indices, data, k)`` of a Membership of ``n`` publications."""
+    m = membership
+    if m.n != n:
+        raise ValueError(f"membership has {m.n} rows, operator expects {n}")
+    return _checked((m.indptr, m.indices, m.data, m.k))
 
 
 def _dense(csr) -> np.ndarray:
@@ -283,12 +280,11 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
 
 
 def dependence_stack(
-    operator: NormalizedCitationOperator, membership, max_order=AUTO
+    operator: NormalizedCitationOperator, membership: Membership, max_order=AUTO
 ) -> np.ndarray:
     """Dense n x k dependence of each publication on each discipline.
 
-    ``membership`` is a Membership or a dense n x k array. Sums the
-    membership columns over citation paths of length up to
+    Sums the membership columns over citation paths of length up to
     ``max_order``; AUTO takes every path, which gives the total
     dependence.
     """
@@ -311,7 +307,10 @@ def dependence_vector(
     satisfies r = (operator) r + 1, which is PageRank with damping
     factor one and a unit exogenous vector.
     """
-    ones = np.ones((operator.n, 1), dtype=np.float64)
+    n = operator.n
+    ones, _ = membership_from_indices(
+        n, ("all",), np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n)
+    )
     return dependence_stack(operator, ones, max_order)[:, 0]
 
 
@@ -339,7 +338,7 @@ class FlowDecomposition:
 
 
 def flow_decomposition(
-    operator: NormalizedCitationOperator, membership, max_order=AUTO
+    operator: NormalizedCitationOperator, membership: Membership, max_order=AUTO
 ) -> FlowDecomposition:
     """Per-order flows, total flow and dependence vector in one iteration.
 

@@ -4,7 +4,9 @@ The oracles recompute engine quantities by entirely different means:
 exact rational path enumeration, dense triangular inversion, and
 brute-force partition search. Guards are hard errors rather than
 silent truncation, so an oracle never returns an approximation. These
-are correctness tools, not performance paths.
+are correctness tools, not performance paths. The generator draws
+index arrays and hands them to the assembly functions that the parsers
+use, ``graph_from_indices`` and ``membership_from_indices``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .citegraph import (
     Membership,
     PubTime,
     graph_from_indices,
+    membership_from_indices,
 )
 
 PATH_GUARD = 10**6
@@ -335,9 +338,7 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     )
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
-    two_way = rng.random(spec.n) < 0.2
-    if spec.k < 2:
-        two_way[:] = False
+    two_way = (rng.random(spec.n) < 0.2) & (spec.k > 1)
     primary = rng.integers(0, spec.k, size=spec.n)
     alt = rng.integers(0, max(spec.k - 1, 1), size=spec.n)
     alt = alt + (alt >= primary)
@@ -345,14 +346,4 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     rows = np.concatenate([np.arange(spec.n), np.arange(spec.n)[two_way]])
     cols = np.concatenate([primary, alt[two_way]])
     data = np.concatenate([np.where(two_way, split, 1.0), (1.0 - split)[two_way]])
-    # A row holds one or two entries, so its sum and each scaled entry
-    # are single roundings: any order of summation gives the same bits.
-    row_sums = np.bincount(rows, weights=data)
-    entry = np.lexsort((cols, rows))
-    indptr = np.zeros(spec.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows), out=indptr[1:])
-    membership = Membership(
-        k=spec.k, labels=labels, indptr=indptr, indices=cols[entry],
-        data=(1.0 / row_sums)[rows[entry]] * data[entry],
-    )
-    return graph, membership
+    return graph, membership_from_indices(spec.n, labels, rows, cols, data)[0]

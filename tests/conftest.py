@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from citeflow import EdgeTable, Membership, NodeTable, PubTime, build_graph
+from citeflow.citegraph import membership_from_indices
 
 FIX7_NODES = [
     ("1", PubTime(2016, 5)),
@@ -106,22 +107,36 @@ def as_scipy(holder) -> sparse.csr_matrix:
     )
 
 
+def operator_csr(op) -> tuple:
+    """The ``(indptr, indices, data, ncols)`` tuple of an operator, as
+    ``propagate`` takes it."""
+    return op.indptr, op.indices, op.data, op.n
+
+
+def dense_membership(array) -> Membership:
+    """The Membership of a dense n x k array with row sums of one, made
+    by the assembler from its nonzero entries; discipline j is ``d<j>``."""
+    array = np.asarray(array, dtype=np.float64)
+    node, col = np.nonzero(array)
+    labels = tuple(f"d{j}" for j in range(array.shape[1]))
+    membership, _ = membership_from_indices(
+        array.shape[0], labels, node, col, array[node, col]
+    )
+    return membership
+
+
 @pytest.fixture
 def fix7_membership(fix7_graph):
     index = fix7_graph.id_index
-    labels = ["X", "Y", "Z"]
-    pos = {lab: i for i, lab in enumerate(labels)}
-    rows = np.array([index[nid] for nid, _, _ in FIX7_MEMBER_ROWS])
-    cols = np.array([pos[d] for _, d, _ in FIX7_MEMBER_ROWS])
-    data = np.array([w for _, _, w in FIX7_MEMBER_ROWS])
-    entry = np.lexsort((cols, rows))
-    return Membership(
-        k=3,
-        labels=tuple(labels),
-        indptr=np.searchsorted(rows[entry], np.arange(fix7_graph.n + 1)),
-        indices=cols[entry],
-        data=data[entry],
+    labels = ("X", "Y", "Z")
+    membership, _ = membership_from_indices(
+        fix7_graph.n,
+        labels,
+        np.array([index[nid] for nid, _, _ in FIX7_MEMBER_ROWS]),
+        np.array([labels.index(d) for _, d, _ in FIX7_MEMBER_ROWS]),
+        np.array([w for _, _, w in FIX7_MEMBER_ROWS]),
     )
+    return membership
 
 
 @pytest.fixture

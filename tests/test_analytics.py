@@ -35,7 +35,7 @@ from citeflow import (
     threshold_network,
 )
 from citeflow.analytics import _nearest_rank
-from conftest import FIX7_F, FIX7_M1, FIX7_SHARES
+from conftest import FIX7_F, FIX7_M1, FIX7_SHARES, dense_membership
 
 
 @pytest.fixture
@@ -95,7 +95,7 @@ class TestOrderContributions:
         graph, _ = build_graph(
             NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b"), ("b", "c")])
         )
-        q = np.ones((3, 1))
+        q = dense_membership(np.ones((3, 1)))
         decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.shares == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
@@ -104,7 +104,7 @@ class TestOrderContributions:
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
         )
-        q = np.ones((1, 1))
+        q = dense_membership(np.ones((1, 1)))
         decomp = flow_decomposition(build_operator(graph), q)
         contrib = order_contributions(decomp, ENTRYWISE_L1)
         assert contrib.norms == ()

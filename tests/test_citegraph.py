@@ -67,7 +67,8 @@ class TestParseNodes:
 
     def test_duplicate_id_is_fatal(self, tmp_path):
         path = _write(tmp_path, "n.csv", "id,year,month\np1,2016,5\np1,2015,1\n")
-        with pytest.raises(IngestError, match="duplicate node id p1"):
+        message = r"n.csv: line 3: duplicate node id p1 \(first on line 2\)"
+        with pytest.raises(IngestError, match=message):
             parse_nodes(path)
 
     def test_non_integer_year_is_fatal(self, tmp_path):
@@ -147,12 +148,12 @@ class TestParseEdges:
 
     def test_missing_cited_id(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,\n")
-        with pytest.raises(IngestError, match="missing cited id on line 2"):
+        with pytest.raises(IngestError, match="e.csv: line 2: missing cited id"):
             parse_edges(path)
 
     def test_missing_citing_id(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,p2\n,p3\n")
-        with pytest.raises(IngestError, match="missing citing id on line 3"):
+        with pytest.raises(IngestError, match="e.csv: line 3: missing citing id"):
             parse_edges(path)
 
 
@@ -610,7 +611,8 @@ def _check_node_rows(path) -> list[str]:
             raise IngestError(f"{path}: line {lineno}: empty node id")
         if node_id in seen:
             raise IngestError(
-                f"duplicate node id {node_id} (lines {seen[node_id]} and {lineno})"
+                f"{path}: line {lineno}: duplicate node id {node_id} "
+                f"(first on line {seen[node_id]})"
             )
         try:
             year = int(year_s)
@@ -649,9 +651,9 @@ def _check_edge_rows(path) -> None:
     """
     for lineno, (citing, cited) in _rows(path, citegraph.EDGE_HEADER):
         if not citing:
-            raise IngestError(f"missing citing id on line {lineno}")
+            raise IngestError(f"{path}: line {lineno}: missing citing id")
         if not cited:
-            raise IngestError(f"missing cited id on line {lineno}")
+            raise IngestError(f"{path}: line {lineno}: missing cited id")
 
 
 def _check_membership_rows(path, graph: CitationGraph) -> None:

@@ -33,7 +33,15 @@ from citeflow import (
     propagate,
     random_dag,
 )
-from conftest import FIX7_F, FIX7_F0, FIX7_M1, FIX7_R_VECTOR, as_scipy
+from conftest import (
+    FIX7_F,
+    FIX7_F0,
+    FIX7_M1,
+    FIX7_R_VECTOR,
+    as_scipy,
+    dense_membership,
+    operator_csr,
+)
 
 
 def _full_powers(op, block, limit):
@@ -121,7 +129,7 @@ class TestOperator:
         op = build_operator(fix7_graph)
         current = as_scipy(fix7_membership).toarray()
         for _ in range(op.order_bound + 1):
-            current = propagate(op, current)
+            current = propagate(operator_csr(op), current)
         assert not current.any()
 
     def test_order_bound_matches_longest_path(self, fix7_graph):
@@ -132,20 +140,20 @@ class TestPropagate:
     def test_membership_step(self, fix7_graph, fix7_membership):
         op = build_operator(fix7_graph)
         q = as_scipy(fix7_membership)
-        out = propagate(op, q.toarray())
+        out = propagate(operator_csr(op), q.toarray())
         assert out[0].tolist() == [0.5, 0.5, 0.0]  # node 1 cites 2 in X, 3 in Y
         assert out[5].tolist() == [0.0, 0.0, 0.0]  # sink row
         assert out.tobytes() == (as_scipy(op) @ q.toarray()).tobytes()
 
     def test_zeros_stay_zero(self, fix7_graph):
         op = build_operator(fix7_graph)
-        out = propagate(op, np.zeros((7, 2)))
+        out = propagate(operator_csr(op), np.zeros((7, 2)))
         assert np.all(out == 0.0)
 
     def test_dimension_mismatch_raises(self, fix7_graph):
         op = build_operator(fix7_graph)
         with pytest.raises(ValueError, match="rows"):
-            propagate(op, np.zeros((6, 2)))
+            propagate(operator_csr(op), np.zeros((6, 2)))
 
     @pytest.mark.parametrize(
         "csr",
@@ -182,7 +190,7 @@ class TestPropagate:
         graph, membership = random_dag(SynthSpec(n=300, target_m=900, k=5, seed=9))
         op = build_operator(graph)
         w, q = as_scipy(op), as_scipy(membership)
-        out = propagate(op, q.toarray())
+        out = propagate(operator_csr(op), q.toarray())
         assert out.tobytes() == (w @ q).toarray().tobytes()
         assert out.tobytes() == (w @ q.toarray()).tobytes()
 
@@ -196,16 +204,16 @@ class TestDependenceStack:
         # the next application would be exactly the zero matrix
         last = as_scipy(fix7_membership).toarray()
         for _ in range(decomp.order_count):
-            last = propagate(op, last)
+            last = propagate(operator_csr(op), last)
         assert last.any()
-        assert not propagate(op, last).any()
+        assert not propagate(operator_csr(op), last).any()
 
     def test_edgeless_graph_stack_is_membership_only(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
             EdgeTable.from_pairs([]),
         )
-        q = np.array([[1.0], [1.0]])
+        q = dense_membership([[1.0], [1.0]])
         decomp = flow_decomposition(build_operator(graph), q)
         assert decomp.order_count == 0
         assert decomp.complete
@@ -429,10 +437,9 @@ class TestHeightOrderedIteration:
         graph, membership = random_dag(SynthSpec(n=300, target_m=1500, k=3, seed=5))
         op = build_operator(graph)
         if dense:
-            membership = as_scipy(membership).toarray()
-            inputs = [membership]
-        else:
-            inputs = [membership.indptr, membership.indices, membership.data]
+            # The same weights, through the assembler from a dense array.
+            membership = dense_membership(as_scipy(membership).toarray())
+        inputs = [membership.indptr, membership.indices, membership.data]
         inputs += [op.indptr, op.indices, op.data, op.heights]
         before = [array.copy() for array in inputs]
         with _group_rows(2, 4):

@@ -197,19 +197,42 @@ def _synth_specs(draw) -> SynthSpec:
     )
 
 
+def _membership_csr(n, rows, cols, data):
+    """CSR arrays of a draw of one or two entries per row, laid out as
+    ``random_dag`` once did it itself: entries sorted by (row, column),
+    each scaled by the reciprocal of its row sum."""
+    row_sums = np.bincount(rows, weights=data)
+    entry = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows), out=indptr[1:])
+    return indptr, cols[entry], (1.0 / row_sums)[rows[entry]] * data[entry]
+
+
 class TestRandomDagOracle:
-    """``random_dag`` assembles its graph from index arrays; the oracle
-    spells the generated pairs as id strings and builds the graph from
-    them with ``build_graph``, as the generator itself once did."""
+    """``random_dag`` assembles its graph and its membership from index
+    arrays. The graph oracle spells the generated pairs as id strings and
+    builds the graph from them with ``build_graph``, and the membership
+    oracle lays out the drawn entries, as the generator itself once did."""
 
     @given(_synth_specs())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_graph_matches_build_graph(self, spec):
-        assemble = refkit.graph_from_indices
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with mock.patch.object(refkit, "graph_from_indices", wraps=assemble) as spy:
-                graph, _ = random_dag(spec)
+            with (
+                mock.patch.object(refkit, "graph_from_indices",
+                                  wraps=refkit.graph_from_indices) as spy,
+                mock.patch.object(refkit, "membership_from_indices",
+                                  wraps=refkit.membership_from_indices) as mspy,
+            ):
+                graph, membership = random_dag(spec)
+        mspy.assert_called_once()
+        n, labels, rows, cols, data = mspy.call_args.args
+        assert (n, labels, membership.k) == (spec.n, membership.labels, spec.k)
+        indptr, indices, values = _membership_csr(n, rows, cols, data)
+        assert membership.indptr.tobytes() == indptr.tobytes()
+        assert membership.indices.tobytes() == indices.tobytes()
+        assert membership.data.tobytes() == values.tobytes()
         spy.assert_called_once()
         ids, time_keys, citing, cited, _ = spy.call_args.args
         spell = ids.__getitem__
