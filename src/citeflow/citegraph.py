@@ -11,13 +11,14 @@ and a classification are each laid out by one function from index
 arrays, ``graph_from_indices`` and ``membership_from_indices``, which
 the parsers and the synthetic generator share.
 
-Each table is read once, into columns with the line of each row. A
-plain table (no quotes or NUL, carriage returns only in CRLF line ends,
-the same number of fields on every line) is split with ``str.split``;
-any other file goes through the csv module. Each input rule is a mask
-over whole columns with its message: the first row a mask rejects is
-reported with its line, ahead of any reader error (a wrong field count,
-bytes that are not UTF-8) that comes after it.
+Each table is read and decoded once, into columns with the line of
+each row. A plain table (no quotes or NUL, carriage returns only in
+CRLF line ends, the same number of fields on every line) is split with
+``str.split``; any other file goes through the csv module. Each input
+rule is a mask over whole columns with its message: the first row a
+mask rejects is reported with its line, ahead of any reader error that
+comes after it (a wrong field count, or a byte that is not UTF-8,
+wherever it lies in the file).
 """
 
 from __future__ import annotations
@@ -228,92 +229,93 @@ class Membership:
         return np.bincount(self.indices, weights=self.data, minlength=self.k)
 
 
-def _csv_rows(path, header: tuple[str, ...], data: bytes):
-    """Yield (line number, stripped fields) for each nonblank data row of ``data``.
+# Bytes that the plain-table reader leaves to the csv module, and the
+# ASCII characters that str.strip removes (\x1c-\x1f among them).
+_CSV_ONLY = (b'"', b"\x00")
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-    The line number is that of the row's last physical line, so it
-    stays right after a quoted field that spans lines.
 
-    Raises:
-        IngestError: wrong header, wrong field count, or a row the csv
-            module rejects (such as an overlong field).
+def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | None]:
+    """The text of the file ``path`` without one leading BOM; whether it is
+    a plain table of ``width`` columns (no quote or NUL, carriage returns
+    only in CRLF line ends, ``width`` fields of at most
+    ``csv.field_size_limit()`` bytes on every line); and None, or the line
+    of its first byte that is not UTF-8 and the error that names it. Past
+    that byte, the text holds replacement characters.
     """
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if first is None or [h.strip() for h in first] != list(header):
-                raise IngestError(f"{path}: expected header '{','.join(header)}'")
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise IngestError(
-                        f"{path}: line {reader.line_num}: expected {len(header)} "
-                        f"fields, got {len(row)}"
-                    )
-                yield reader.line_num, [f.strip() for f in row]
-        except csv.Error as exc:
-            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise _decode_error(path, data) from None
-
-
-def _decode_error(path, data: bytes) -> IngestError:
-    """The first invalid UTF-8 byte of ``data``, the file ``path``, with its line.
-
-    The text reader decodes in chunks and reports a position within
-    its chunk, so the whole file is decoded again to find the byte.
-    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        return IngestError(f"{path}: line {lineno}: {exc}")
-    raise InternalInvariantError(f"{path}: the text reader rejected valid UTF-8")
-
-
-# Bytes that the plain-table reader leaves to the csv module, and the
-# ASCII bytes that str.strip removes (\x1c-\x1f among them).
-_CSV_ONLY = (b'"', b"\x00")
-_ASCII_SPACE = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
-
-
-def _plain_fields(data: bytes, header: tuple[str, ...]) -> list[str] | None:
-    """Stripped fields of the data rows of ``data`` in row-major order, or None.
-
-    Handles a plain table: valid UTF-8 (a leading BOM is dropped)
-    without a quote or NUL, whose every carriage return ends a line
-    (CRLF), and whose every line, the header included, holds
-    ``len(header)`` fields of at most ``csv.field_size_limit()`` bytes.
-    Such a file is split exactly as ``_csv_rows`` would read it.
-    Returns None for any other file, blank lines included.
-    """
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    if any(c in data for c in _CSV_ONLY):
-        return None
-    if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n"):
-            return None
-        data = data.replace(b"\r\n", b"\n")
+        bad = lineno, IngestError(f"{path}: line {lineno}: {exc}")
+        return data.decode("utf-8", "replace").removeprefix("\ufeff"), False, bad
+    if any(c in data for c in _CSV_ONLY) or (
+        b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    ):
+        return text, False, None
     buf = np.frombuffer(data, dtype=np.uint8)
-    width = len(header)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if not ends.size or ends.size % width:
-        return None
+    # The end of the file ends a last line that lacks its newline.
+    count = ends.size + (not data.endswith(b"\n"))
     line = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    if not np.all(buf[ends].reshape(-1, width) == line):
-        return None
-    if int(np.diff(ends, prepend=-1).max()) - 1 > csv.field_size_limit():
-        return None
+    plain = (
+        count % width == 0
+        and np.array_equal(buf[ends], np.tile(line, count // width)[: ends.size])
+        and int(np.diff(ends, prepend=-1, append=buf.size).max()) - 1
+        <= csv.field_size_limit()
+    )
+    return text, plain, None
+
+
+def _csv_rows(path, header: tuple[str, ...], text: str, bad):
+    """Yield (line number, stripped fields) for each nonblank data row of ``text``.
+
+    The line number is that of the row's last physical line, so it
+    stays right after a quoted field that spans lines. ``bad`` is from
+    ``_read_text``: rows that end on its line or later are not read, and
+    its error follows the rows before them.
+
+    Raises:
+        IngestError: wrong header, wrong field count, a row the csv
+            module rejects (such as an overlong field), or ``bad``'s error.
+    """
+    end, error = bad or (math.inf, None)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
+        first = next(reader, None)
+        if reader.line_num < end and [h.strip() for h in first or ()] != list(header):
+            raise IngestError(f"{path}: expected header '{','.join(header)}'")
+        for row in reader:
+            if reader.line_num >= end:
+                break
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}"
+                )
+            yield reader.line_num, [f.strip() for f in row]
+    except csv.Error as exc:
+        if reader.line_num < end:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+    if error is not None:
+        raise error
+
+
+def _plain_fields(text: str, header: tuple[str, ...]) -> list[str] | None:
+    """Stripped fields of the data rows of the plain table ``text``, in
+    row-major order, as ``_csv_rows`` reads them; None when its first
+    line is not ``header``.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", ",")  # so a CRLF text, too, is copied once
     fields = text.replace("\n", ",").split(",")
-    del fields[-1]  # the empty string after the last newline
-    if not data.isascii() or any(c in data for c in _ASCII_SPACE):
+    width = len(header)
+    del fields[len(fields) // width * width :]  # the "" after a final newline
+    if not text.isascii() or any(c in text for c in _ASCII_SPACE):
         fields = list(map(str.strip, fields))
     if fields[:width] != list(header):
         return None
@@ -351,22 +353,21 @@ class _Table:
 def _csv_columns(path, header: tuple[str, ...]) -> _Table:
     """The nonblank data rows of ``path`` as columns, in file order.
 
-    The file is read once. A plain table is split whole; its data row i
-    is on line i + 2. Any other file is read by ``_csv_rows`` up to its
-    first failure, keeping the rows before it, so that a bad row among
-    them is reported first.
+    The file is read and decoded once. A plain table is split whole,
+    after its bytes are freed; its data row i is on line i + 2. Any
+    other file is read by ``_csv_rows`` up to its first failure, keeping
+    the rows before it, so that a bad row among them is reported first.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     width = len(header)
-    fields = _plain_fields(data, header)
+    text, plain, bad = _read_text(path, width)
+    fields = _plain_fields(text, header) if plain else None
     error = None
     if fields is not None:
         lines = range(2, len(fields) // width + 2)
     else:
         fields, lines = [], []
         try:
-            for lineno, row in _csv_rows(path, header, data):
+            for lineno, row in _csv_rows(path, header, text, bad):
                 lines.append(lineno)
                 fields += row
         except IngestError as exc:

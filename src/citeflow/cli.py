@@ -50,24 +50,22 @@ def _ingest(nodes_path, edges_path, membership_path):
     return graph, membership, report
 
 
-def cmd_validate(nodes_path, edges_path, membership_path, stream=None) -> int:
+def cmd_validate(nodes_path, edges_path, membership_path) -> int:
     """Ingest everything, print the report, exit 0 (fatal errors exit 2)."""
-    stream = stream or sys.stdout
     graph, membership, report = _ingest(nodes_path, edges_path, membership_path)
-    print(f"nodes: {graph.n}", file=stream)
+    print(f"nodes: {graph.n}")
     print(
         f"edges: {graph.m} (read {report.edges_read}, "
         f"synchronous discarded {report.synchronous_edges_discarded}, "
-        f"duplicates discarded {report.duplicate_edges_discarded})",
-        file=stream,
+        f"duplicates discarded {report.duplicate_edges_discarded})"
     )
-    print(f"longest path: {citegraph.longest_path_length(graph)}", file=stream)
-    print(f"disciplines: {membership.k}", file=stream)
-    print(f"warnings: {len(report.warnings)}", file=stream)
+    print(f"longest path: {citegraph.longest_path_length(graph)}")
+    print(f"disciplines: {membership.k}")
+    print(f"warnings: {len(report.warnings)}")
     for text in report.warnings[:50]:
-        print(f"  {text}", file=stream)
+        print(f"  {text}")
     if len(report.warnings) > 50:
-        print(f"  ... {len(report.warnings) - 50} more", file=stream)
+        print(f"  ... {len(report.warnings) - 50} more")
     return 0
 
 
@@ -315,17 +313,17 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     ids = np.array(graph.node_ids)
     years, months = np.divmod(graph.time_keys, 12)
     _write_table(
-        out / "nodes.csv", ["id", "year", "month"], [graph.node_ids],
+        out / "nodes.csv", list(citegraph.NODE_HEADER), [graph.node_ids],
         np.column_stack([years, months + 1]),
     )
     citing = ids[np.repeat(np.arange(graph.n), graph.outdegree)]
     _write_table(
-        out / "edges.csv", ["citing", "cited"],
+        out / "edges.csv", list(citegraph.EDGE_HEADER),
         [citing.tolist(), ids[graph.indices].tolist()], np.empty((graph.m, 0)),
     )
     rows = np.repeat(np.arange(membership.n), np.diff(membership.indptr))
     _write_table(
-        out / "membership.csv", ["id", "discipline", "weight"],
+        out / "membership.csv", list(citegraph.MEMBERSHIP_HEADER),
         [ids[rows].tolist(), np.array(membership.labels)[membership.indices].tolist()],
         membership.data[:, None],
     )

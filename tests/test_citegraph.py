@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from citeflow import (
     parse_nodes,
     random_dag,
 )
-from citeflow import citegraph
+from citeflow import citegraph, cli
 from citeflow.citegraph import MAX_YEAR
 from citeflow.refkit import topological_order
 from conftest import (
@@ -57,6 +58,12 @@ class TestParseNodes:
         assert nodes.ids == ("p1",)
         assert nodes.time_keys.tolist() == [PubTime(2016, 5).key()]
         assert warnings == []
+
+    def test_undecodable_header_is_reported_as_such(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_bytes(b"id,ye\xffar,month\np1,2016,5\n")
+        with pytest.raises(IngestError, match="n.csv: line 1: .* in position 5:"):
+            parse_nodes(path)
 
     def test_blank_month_defaults_with_warning(self, tmp_path):
         path = _write(tmp_path, "n.csv", "id,year,month\np2,2015,\n")
@@ -156,6 +163,29 @@ class TestParseEdges:
         with pytest.raises(IngestError, match="e.csv: line 3: missing citing id"):
             parse_edges(path)
 
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        path = _write(tmp_path, "e.csv", "citing,cited\rp1,p2\rp2,p3\r")
+        edges = parse_edges(path)
+        assert (edges.citing, edges.cited) == (("p1", "p2"), ("p2", "p3"))
+        assert list(edges.lines) == [2, 3]
+
+    def test_crlf_file_peaks_as_its_lf_form(self, tmp_path):
+        """A CRLF table is split without an LF copy of the file."""
+        args = "synth --n 20000 --m 100000 --k 5 --seed 1 --out".split()
+        assert cli.main([*args, str(tmp_path)]) == 0
+        lf = tmp_path / "edges.csv"
+        crlf = tmp_path / "edges-crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        peaks = []
+        for path in (lf, crlf):
+            tracemalloc.start()
+            try:
+                parse_edges(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.02 * peaks[0]
+
 
 # Fields of a plain table, and the flaws a table may carry: a field of
 # spaces, characters that str.strip removes, quotes, NUL, separators or
@@ -218,14 +248,13 @@ def _read_both(path, header):
 
     Either is None when its reader declines or rejects the file.
     """
-    data = path.read_bytes()
     limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
-        plain = citegraph._plain_fields(data, header)
+        text, is_plain, bad = citegraph._read_text(path, len(header))
+        plain = citegraph._plain_fields(text, header) if is_plain else None
         try:
-            rows = [
-                f for _, row in citegraph._csv_rows(path, header, data) for f in row
-            ]
+            rows = citegraph._csv_rows(path, header, text, bad)
+            rows = [f for _, row in rows for f in row]
         except IngestError:
             rows = None
     finally:
@@ -267,6 +296,11 @@ class TestPlainTableReader:
         path = _write(tmp_path, "e.csv", text)
         plain, rows = _read_both(path, citegraph.EDGE_HEADER)
         assert plain is not None and plain == rows
+
+    def test_overlong_last_field_without_newline_takes_the_csv_path(self, tmp_path):
+        path = _write(tmp_path, "e.csv", "citing,cited\np1," + "x" * (_FIELD_LIMIT + 1))
+        plain, rows = _read_both(path, citegraph.EDGE_HEADER)
+        assert plain is None and rows is None  # the csv module rejects the field
 
     def test_lone_carriage_return_takes_the_csv_path(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\r\np1\rx,p2\r\n")
@@ -589,7 +623,8 @@ def _membership_by_rows(rows, graph):
 
 def _rows(path, header):
     """``_csv_rows`` over the file ``path``."""
-    return citegraph._csv_rows(path, header, path.read_bytes())
+    text, _, bad = citegraph._read_text(path, len(header))
+    return citegraph._csv_rows(path, header, text, bad)
 
 
 # The row-by-row checks that once worded ingest's errors, kept as the
@@ -798,6 +833,23 @@ class TestFirstBadRow:
             ),
             (
                 "nodes",
+                "a,2016,1\nb,20x6,1\ny\udcff,2010,1\n",
+                "{path}: line 3: year '20x6' is not an integer",
+            ),
+            (
+                "nodes",
+                'a,2016,1\n"b\n\udcffc",2016\n',
+                "{path}: line 4: 'utf-8' codec can't decode byte 0xff in position 26: "
+                "invalid start byte",
+            ),
+            (
+                "nodes",
+                "a,2016,1\nb,2016,\udcff" + "9" * 140_000 + "\n",
+                "{path}: line 3: 'utf-8' codec can't decode byte 0xff in position 30: "
+                "invalid start byte",
+            ),
+            (
+                "nodes",
                 "a,2016,1\nb,2016\nc,20x6,1\n",
                 "{path}: line 3: expected 3 fields, got 2",
             ),
@@ -824,6 +876,9 @@ class TestFirstBadRow:
         ],
         ids=[
             "bad-row-before-undecodable-byte-past-8-kib",
+            "bad-row-before-undecodable-byte-under-8-kib",
+            "undecodable-byte-in-short-multiline-row-under-8-kib",
+            "undecodable-byte-in-overlong-field-under-8-kib",
             "short-line-before-bad-year",
             "overflow-before-unknown-id",
             "unknown-id-before-overflow",
@@ -831,11 +886,15 @@ class TestFirstBadRow:
             "blank-month-after-multiline-field",
         ],
     )
-    def test_reports_the_first(self, tmp_path, file, body, expected):
+    def test_reports_the_first(self, request, tmp_path, file, body, expected):
         header = _TEXTS[file].partition("\n")[0]
         # "\udcff" writes the byte 0xff, which is not UTF-8.
         data = (header + "\n" + body).encode("utf-8", "surrogateescape")
-        assert b"\xff" not in data or data.index(b"\xff") > 8192
+        # The byte lies where the id says: within the first 8 KiB (the first
+        # chunk of a chunked text reader) or past them.
+        if b"\xff" in data:
+            under = request.node.callspec.id.endswith("under-8-kib")
+            assert (data.index(b"\xff") < 8192) == under
         path = tmp_path / f"{file}.csv"
         path.write_bytes(data)
         read, oracle = _READERS[file]

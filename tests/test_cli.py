@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -275,6 +276,19 @@ class TestCompute:
         _compute(fix7_files, out1, "--threads", "1")
         _compute(fix7_files, out2, "--threads", "8")
         assert _tree_bytes(out1) == _tree_bytes(out2)
+
+    def test_frobenius_norm_changes_only_the_chart(self, fix7_files, tmp_path):
+        default, frobenius = tmp_path / "l1", tmp_path / "frobenius"
+        assert _compute(fix7_files, default) == 0
+        assert _compute(fix7_files, frobenius, "--norm", "frobenius") == 0
+        svg = _read(frobenius / "contributions.svg")
+        assert "citation flow share by path order (frobenius)</text>" in svg
+        with open(frobenius / "contributions.csv", newline="", encoding="utf-8") as fh:
+            shares = [f"{float(row['frob_share']):.4f}" for row in csv.DictReader(fh)]
+        assert re.findall(r'font-size="11">(\d\.\d{4})</text>', svg) == shares
+        files, expected = _tree_bytes(frobenius), _tree_bytes(default)
+        del files["contributions.svg"], expected["contributions.svg"]
+        assert files == expected
 
     def test_env_threads_fallback(self, fix7_files, tmp_path, monkeypatch):
         monkeypatch.setenv("CITEFLOW_THREADS", "3")
