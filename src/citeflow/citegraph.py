@@ -11,11 +11,16 @@ and a classification are each laid out by one function from index
 arrays, ``graph_from_indices`` and ``membership_from_indices``, which
 the parsers and the synthetic generator share.
 
-Each table is read and decoded once, into columns with the line of
-each row. A plain table (no quotes or NUL, carriage returns only in
-CRLF line ends, the same number of fields on every line) is split with
-``str.split``; any other file goes through the csv module. Each input
-rule is a mask over whole columns with its message: the first row a
+Each table is read and decoded once, then split a block of about 256K
+characters of whole lines at a time, into columns with the line of each
+row. A plain table (no quotes or NUL, carriage returns only in CRLF line
+ends, the same number of fields on every line) is split with
+``str.split``; any other file goes through the csv module, whose rows
+are grouped into blocks of the same kind. The node and membership
+tables join their blocks; ``parse_edges`` yields its blocks, and
+``build_graph`` turns each into index arrays before the next is split,
+so the id strings of a whole edge table are never alive at once. Each
+input rule is a mask over the columns with its message: the first row a
 mask rejects is reported with its line, ahead of any reader error that
 comes after it (a wrong field count, or a byte that is not UTF-8,
 wherever it lies in the file).
@@ -27,9 +32,10 @@ import csv
 import io
 import math
 import operator
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -111,8 +117,8 @@ class NodeTable:
 class EdgeTable:
     """Citations in file order: the citing and cited id and the line of each."""
 
-    citing: tuple[str, ...]
-    cited: tuple[str, ...]
+    citing: Sequence[str]
+    cited: Sequence[str]
     lines: Sequence[int]
 
     @classmethod
@@ -233,6 +239,19 @@ class Membership:
 # ASCII characters that str.strip removes (\x1c-\x1f among them).
 _CSV_ONLY = (b'"', b"\x00")
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# About how many characters of whole lines are checked, split or looked up
+# at a time, so that the fields of a whole file are never alive at once.
+_BLOCK = 1 << 18
+
+
+def _spans(text, newline, start: int = 0):
+    """(start, end) of the blocks of ``text`` from ``start`` on: whole lines,
+    each ended by ``newline`` but for the last, of about ``_BLOCK`` each (a
+    longer line is a block of its own)."""
+    while start < len(text):
+        end = text.find(newline, start + _BLOCK) + 1 or len(text)
+        yield start, end
+        start = end
 
 
 def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | None]:
@@ -255,18 +274,22 @@ def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | N
         b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
     ):
         return text, False, None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    # The end of the file ends a last line that lacks its newline.
-    count = ends.size + (not data.endswith(b"\n"))
+    # A block of lines at a time: the masks and separator positions of the
+    # whole file would take several times its size.
     line = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    plain = (
-        count % width == 0
-        and np.array_equal(buf[ends], np.tile(line, count // width)[: ends.size])
-        and int(np.diff(ends, prepend=-1, append=buf.size).max()) - 1
-        <= csv.field_size_limit()
-    )
-    return text, plain, None
+    for start, end in _spans(data, b"\n"):
+        buf = np.frombuffer(data, np.uint8, end - start, start)
+        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        # The end of the file ends a last line that lacks its newline.
+        count = ends.size + (not data.endswith(b"\n", start, end))
+        if not (
+            count % width == 0
+            and np.array_equal(buf[ends], np.tile(line, count // width)[: ends.size])
+            and int(np.diff(ends, prepend=-1, append=buf.size).max()) - 1
+            <= csv.field_size_limit()
+        ):
+            return text, False, None
+    return text, True, None
 
 
 def _csv_rows(path, header: tuple[str, ...], text: str, bad):
@@ -305,21 +328,15 @@ def _csv_rows(path, header: tuple[str, ...], text: str, bad):
         raise error
 
 
-def _plain_fields(text: str, header: tuple[str, ...]) -> list[str] | None:
-    """Stripped fields of the data rows of the plain table ``text``, in
-    row-major order, as ``_csv_rows`` reads them; None when its first
-    line is not ``header``.
-    """
+def _plain_fields(text: str, width: int) -> list[str]:
+    """Stripped fields of the whole lines ``text`` of a plain table of
+    ``width`` columns, in row-major order, as ``_csv_rows`` reads them."""
     if "\r" in text:
         text = text.replace("\r\n", ",")  # so a CRLF text, too, is copied once
     fields = text.replace("\n", ",").split(",")
-    width = len(header)
     del fields[len(fields) // width * width :]  # the "" after a final newline
     if not text.isascii() or any(c in text for c in _ASCII_SPACE):
         fields = list(map(str.strip, fields))
-    if fields[:width] != list(header):
-        return None
-    del fields[:width]
     return fields
 
 
@@ -332,6 +349,11 @@ class _Table:
     columns: list[list[str]]
     lines: Sequence[int]
     error: IngestError | None
+
+    @classmethod
+    def block(cls, path, fields: list[str], width: int, lines: Sequence[int]) -> _Table:
+        """The rows of ``fields``, ``width`` to a row, as a table without error."""
+        return cls(path, [fields[j::width] for j in range(width)], lines, None)
 
     def at(self, row) -> str:
         return f"{self.path}: line {self.lines[row]}: "
@@ -350,29 +372,61 @@ class _Table:
             raise self.error
 
 
-def _csv_columns(path, header: tuple[str, ...]) -> _Table:
-    """The nonblank data rows of ``path`` as columns, in file order.
+def _blocks(path, header: tuple[str, ...]) -> Iterator[_Table]:
+    """The nonblank data rows of ``path``, in file order, a block of about
+    ``_BLOCK`` characters at a time; then the reader's error, if any.
 
-    The file is read and decoded once. A plain table is split whole,
-    after its bytes are freed; its data row i is on line i + 2. Any
-    other file is read by ``_csv_rows`` up to its first failure, keeping
-    the rows before it, so that a bad row among them is reported first.
+    The file is read and decoded once, when the first block is asked for.
+    A plain table is split a block of whole lines at a time; its data row
+    i is on line i + 2. Any other file is read by ``_csv_rows``, whose rows
+    are grouped into blocks of about the same size; the rows before its
+    first failure are yielded before the failure is raised.
+
+    Raises:
+        IngestError: wrong header, wrong field count, a row the csv module
+            rejects, or a byte that is not UTF-8.
     """
     width = len(header)
     text, plain, bad = _read_text(path, width)
-    fields = _plain_fields(text, header) if plain else None
-    error = None
-    if fields is not None:
-        lines = range(2, len(fields) // width + 2)
-    else:
-        fields, lines = [], []
-        try:
-            for lineno, row in _csv_rows(path, header, text, bad):
-                lines.append(lineno)
-                fields += row
-        except IngestError as exc:
-            error = exc
-    return _Table(path, [fields[j::width] for j in range(width)], lines, error)
+    body = text.find("\n") + 1 or len(text)
+    if plain and _plain_fields(text[:body], width) == list(header):
+        line = 2
+        for start, end in _spans(text, "\n", body):
+            fields = _plain_fields(text[start:end], width)
+            rows = len(fields) // width
+            yield _Table.block(path, fields, width, range(line, line + rows))
+            line += rows
+            del fields  # so the next block is split without this one
+        return
+    fields, lines, size, error = [], [], 0, None
+    try:
+        for lineno, row in _csv_rows(path, header, text, bad):
+            fields += row
+            lines.append(lineno)
+            size += sum(map(len, row))
+            if size >= _BLOCK:
+                yield _Table.block(path, fields, width, lines)
+                fields, lines, size = [], [], 0
+    except IngestError as exc:
+        error = exc
+    if lines:
+        yield _Table.block(path, fields, width, lines)
+    if error is not None:
+        raise error
+
+
+def _csv_columns(path, header: tuple[str, ...]) -> _Table:
+    """The nonblank data rows of ``path`` as columns, in file order: the
+    blocks of ``_blocks`` joined, and the error it raises after them."""
+    columns, lines, error = [[] for _ in header], array("q"), None
+    try:
+        for block in _blocks(path, header):
+            for column, part in zip(columns, block.columns):
+                column += part
+            lines.extend(block.lines)
+    except IngestError as exc:
+        error = exc
+    return _Table(path, columns, lines, error)
 
 
 def _blank(column) -> np.ndarray | bool:
@@ -451,20 +505,31 @@ def parse_nodes(path) -> tuple[NodeTable, list[str]]:
     return NodeTable(ids=tuple(ids), time_keys=years * 12 + months - 1), warnings
 
 
-def parse_edges(path) -> EdgeTable:
-    """Read the citation table: the citing and cited id of each row.
+def parse_edges(path) -> Iterator[EdgeTable]:
+    """Read the citation table a block of rows at a time: yield, in file
+    order, an EdgeTable of the citing and cited id and the line of each row.
 
-    Raises:
+    The file is read when the first block is asked for. ``map`` holds no
+    block once it has handed it on, so a block that the caller drops is
+    freed before the next one is split.
+
+    Raises, while the blocks are read:
         IngestError: bad header, wrong field count, or the first row
-            with a missing citing or cited id, with its line number.
+            with a missing citing or cited id, with its line number. A
+            missing id is raised with its block; any other error after the
+            last block, which holds the rows before it.
     """
-    table = _csv_columns(path, EDGE_HEADER)
-    citing, cited = table.columns
-    table.check([
-        (_blank(citing), lambda i: f"{table.at(i)}missing citing id"),
-        (_blank(cited), lambda i: f"{table.at(i)}missing cited id"),
+    return map(_edge_block, _blocks(path, EDGE_HEADER))
+
+
+def _edge_block(block: _Table) -> EdgeTable:
+    """The edges of one block of the citation table, once no id is missing."""
+    citing, cited = block.columns
+    block.check([
+        (_blank(citing), lambda i: f"{block.at(i)}missing citing id"),
+        (_blank(cited), lambda i: f"{block.at(i)}missing cited id"),
     ])
-    return EdgeTable(citing=tuple(citing), cited=tuple(cited), lines=table.lines)
+    return EdgeTable(citing=citing, cited=cited, lines=block.lines)
 
 
 def _indices(id_index: dict[str, int], column) -> np.ndarray:
@@ -472,26 +537,49 @@ def _indices(id_index: dict[str, int], column) -> np.ndarray:
     return np.fromiter(map(id_index.get, column, repeat(-1)), np.int64, len(column))
 
 
+def _resolve(id_index: dict[str, int], edges: EdgeTable):
+    """The index arrays of the citing and cited ids of ``edges``, and the
+    (row, role, id, line) of its first row that names an unknown id, or None."""
+    citing, cited = _indices(id_index, edges.citing), _indices(id_index, edges.cited)
+    unknown = (citing < 0) | (cited < 0)
+    if not unknown.any():
+        return citing, cited, None
+    row = int(np.argmax(unknown))
+    role, ids = ("citing", edges.citing) if citing[row] < 0 else ("cited", edges.cited)
+    return citing, cited, (row, role, ids[row], edges.lines[row])
+
+
 def build_graph(
-    nodes: NodeTable, edges: EdgeTable
+    nodes: NodeTable, edges: Iterable[EdgeTable]
 ) -> tuple[CitationGraph, IngestReport]:
     """Look up the ids of the edges, then assemble with ``graph_from_indices``.
 
+    ``edges`` is a sequence of blocks, such as ``parse_edges`` yields or
+    ``[EdgeTable.from_pairs(...)]``. Each block is resolved to index arrays
+    as it comes; only those arrays and the first unknown id are kept.
+
     Raises:
-        IngestError: zero nodes.
+        IngestError: what reading ``edges`` raises; then zero nodes.
         UnknownIdError: an edge names an id missing from ``nodes``.
     """
     ids = tuple(nodes.ids)
+    id_index = dict(zip(ids, range(len(ids))))
+    # An empty array first, so that a table of no blocks concatenates too.
+    citing, cited = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    unknown = None
+    # map holds no block once resolved, so each is freed before the next is read.
+    for block_citing, block_cited, first in map(partial(_resolve, id_index), edges):
+        if first is not None and unknown is None:
+            row, role, node_id, line = first
+            unknown = UnknownIdError(sum(map(len, citing)) + row, role, node_id, line)
+        citing.append(block_citing)
+        cited.append(block_cited)
     if not ids:
         raise IngestError("zero nodes: cannot build a citation graph")
-    id_index = dict(zip(ids, range(len(ids))))
-    citing, cited = (_indices(id_index, col) for col in (edges.citing, edges.cited))
-    unknown = (citing < 0) | (cited < 0)
-    if unknown.any():
-        pos = int(np.argmax(unknown))
-        if citing[pos] < 0:
-            raise UnknownIdError(pos, "citing", edges.citing[pos], edges.lines[pos])
-        raise UnknownIdError(pos, "cited", edges.cited[pos], edges.lines[pos])
+    if unknown is not None:
+        raise unknown
+    citing = np.concatenate(citing)
+    cited = np.concatenate(cited)
     return graph_from_indices(ids, nodes.time_keys, citing, cited, id_index)
 
 
@@ -504,30 +592,36 @@ def graph_from_indices(
     nonempty and ``id_index`` maps each id to its position. Synchronous
     edges, whose citing publication is not newer than the cited one
     (self-loops among them), are discarded; duplicates are collapsed.
+    ``citing`` and ``cited`` are int64 arrays, left unchanged.
     """
     n = len(ids)
     tkey = np.array(time_keys, dtype=np.int64)
     keep = tkey[citing] > tkey[cited]
-    synchronous = int(keep.size - int(keep.sum()))
+    edges_read = int(keep.size)
     # Sorted, so CSR rows and columns come out ordered. A sort and a mask,
     # not np.unique, which hashes int64 keys and is several times slower.
-    key = np.sort(citing[keep] * n + cited[keep])
+    key = citing[keep]
+    key *= n
+    key += cited[keep]
+    del keep
+    key.sort()
+    synchronous = edges_read - int(key.size)
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     unique = key[first]
     duplicates = int(key.size - unique.size)
+    del key, first
     rows = unique // n
-    cols = unique % n
+    indices = np.remainder(unique, n, out=unique)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols.astype(np.int64)
-    m = int(unique.size)
-    if m and not np.all(tkey[rows] > tkey[cols]):
+    m = int(indices.size)
+    if m and not np.all(tkey[rows] > tkey[indices]):
         raise InternalInvariantError(
             "stored edge does not strictly decrease publication time"
         )
-    for array in (tkey, indptr, indices):
-        array.setflags(write=False)
+    for frozen in (tkey, indptr, indices):
+        frozen.setflags(write=False)
     graph = CitationGraph(
         node_ids=ids,
         time_keys=tkey,
@@ -539,7 +633,7 @@ def graph_from_indices(
     )
     report = IngestReport(
         nodes_read=n,
-        edges_read=keep.size,
+        edges_read=edges_read,
         synchronous_edges_discarded=synchronous,
         duplicate_edges_discarded=duplicates,
     )

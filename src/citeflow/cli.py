@@ -39,8 +39,8 @@ def _log(msg: str) -> None:
 def _ingest(nodes_path, edges_path, membership_path):
     nodes, node_warnings = citegraph.parse_nodes(nodes_path)
     try:
-        # No name holds the edge table, so its id strings are freed
-        # before the membership is read.
+        # build_graph resolves the edge table a block at a time, so only one
+        # block's id strings are alive at once.
         graph, report = citegraph.build_graph(nodes, citegraph.parse_edges(edges_path))
     except citegraph.UnknownIdError as exc:
         raise exc.at(edges_path) from None

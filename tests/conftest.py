@@ -93,7 +93,7 @@ FIX7_LONGEST = 3
 @pytest.fixture
 def fix7_graph():
     graph, report = build_graph(
-        NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+        NodeTable.from_pairs(FIX7_NODES), [EdgeTable.from_pairs(FIX7_EDGES)]
     )
     assert report.edges_kept == 8
     return graph

@@ -93,7 +93,8 @@ class TestOrderContributions:
     def test_chain_shares(self):
         nodes = [(c, PubTime(2016, 12 - i)) for i, c in enumerate("abc")]
         graph, _ = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b"), ("b", "c")])
+            NodeTable.from_pairs(nodes),
+            [EdgeTable.from_pairs([("a", "b"), ("b", "c")])],
         )
         q = dense_membership(np.ones((3, 1)))
         decomp = flow_decomposition(build_operator(graph), q)
@@ -102,7 +103,7 @@ class TestOrderContributions:
 
     def test_edgeless_graph_is_empty(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), [EdgeTable.from_pairs([])]
         )
         q = dense_membership(np.ones((1, 1)))
         decomp = flow_decomposition(build_operator(graph), q)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ class TestParseNodes:
     def test_year_bound_keeps_month_key_in_int64(self, tmp_path):
         rows = f"a,{MAX_YEAR},12\nb,{-MAX_YEAR},1\n"
         nodes, _ = parse_nodes(_write(tmp_path, "n.csv", "id,year,month\n" + rows))
-        graph, _ = build_graph(nodes, EdgeTable.from_pairs([("a", "b")]))
+        graph, _ = build_graph(nodes, [EdgeTable.from_pairs([("a", "b")])])
         assert graph.m == 1
         path = _write(tmp_path, "big.csv", f"id,year,month\na,{MAX_YEAR + 1},1\n")
         with pytest.raises(IngestError, match="line 2: year"):
@@ -142,32 +144,37 @@ class TestParseNodes:
             parse_nodes(_write(tmp_path, "n.csv", text))
 
 
+def _edge_rows(path):
+    """(citing, cited, line) of each row that ``parse_edges`` reads, over its blocks."""
+    return [
+        row
+        for block in parse_edges(path)
+        for row in zip(block.citing, block.cited, block.lines)
+    ]
+
+
 class TestParseEdges:
     def test_basic_pair(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,p2\n")
-        edges = parse_edges(path)
-        assert (edges.citing, edges.cited) == (("p1",), ("p2",))
+        assert _edge_rows(path) == [("p1", "p2", 2)]
 
     def test_empty_body(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\n")
-        edges = parse_edges(path)
-        assert (edges.citing, edges.cited) == ((), ())
+        assert _edge_rows(path) == []
 
     def test_missing_cited_id(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,\n")
         with pytest.raises(IngestError, match="e.csv: line 2: missing cited id"):
-            parse_edges(path)
+            _edge_rows(path)
 
     def test_missing_citing_id(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,p2\n,p3\n")
         with pytest.raises(IngestError, match="e.csv: line 3: missing citing id"):
-            parse_edges(path)
+            _edge_rows(path)
 
     def test_lone_carriage_returns_end_lines(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\rp1,p2\rp2,p3\r")
-        edges = parse_edges(path)
-        assert (edges.citing, edges.cited) == (("p1", "p2"), ("p2", "p3"))
-        assert list(edges.lines) == [2, 3]
+        assert _edge_rows(path) == [("p1", "p2", 2), ("p2", "p3", 3)]
 
     def test_crlf_file_peaks_as_its_lf_form(self, tmp_path):
         """A CRLF table is split without an LF copy of the file."""
@@ -180,11 +187,26 @@ class TestParseEdges:
         for path in (lf, crlf):
             tracemalloc.start()
             try:
-                parse_edges(path)
+                collections.deque(parse_edges(path), maxlen=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.02 * peaks[0]
+
+    def test_graph_peaks_under_eight_times_the_file(self, tmp_path):
+        """Resolving the ids a block at a time keeps no string per field."""
+        args = "synth --n 20000 --m 100000 --k 5 --seed 1 --out".split()
+        assert cli.main([*args, str(tmp_path)]) == 0
+        nodes, _ = parse_nodes(tmp_path / "nodes.csv")
+        path = tmp_path / "edges.csv"
+        tracemalloc.start()
+        try:
+            graph, _ = build_graph(nodes, parse_edges(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.m == 100_000
+        assert peak <= 8 * path.stat().st_size
 
 
 # Fields of a plain table, and the flaws a table may carry: a field of
@@ -243,18 +265,32 @@ def _tables(draw):
     return header, data
 
 
-def _read_both(path, header):
-    """The plain-table fields of ``path`` and those of ``_csv_rows``.
+class _Declined(Exception):
+    """Raised in place of ``_csv_rows``: the plain-table path declined the file."""
+
+
+def _read_both(path, header, block=citegraph._BLOCK):
+    """(line, fields) of each row of ``path`` as the plain-table path reads
+    it, in blocks of about ``block`` characters, and as ``_csv_rows`` reads it.
 
     Either is None when its reader declines or rejects the file.
     """
     limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
-        text, is_plain, bad = citegraph._read_text(path, len(header))
-        plain = citegraph._plain_fields(text, header) if is_plain else None
         try:
-            rows = citegraph._csv_rows(path, header, text, bad)
-            rows = [f for _, row in rows for f in row]
+            with (
+                mock.patch.object(citegraph, "_csv_rows", side_effect=_Declined),
+                mock.patch.object(citegraph, "_BLOCK", block),
+            ):
+                plain = [
+                    (line, list(row))
+                    for b in citegraph._blocks(path, header)
+                    for line, *row in zip(b.lines, *b.columns)
+                ]
+        except _Declined:
+            plain = None
+        try:
+            rows = list(_rows(path, header))
         except IngestError:
             rows = None
     finally:
@@ -265,13 +301,13 @@ def _read_both(path, header):
 class TestPlainTableReader:
     """The plain-table path declines, or reads what the csv module reads."""
 
-    @given(table=_tables())
+    @given(table=_tables(), block=st.sampled_from([1, 7, citegraph._BLOCK]))
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_declines_or_matches_csv_rows(self, tmp_path_factory, table):
+    def test_declines_or_matches_csv_rows(self, tmp_path_factory, table, block):
         header, data = table
         path = tmp_path_factory.mktemp("table") / "t.csv"
         path.write_bytes(data)
-        plain, rows = _read_both(path, header)
+        plain, rows = _read_both(path, header, block)
         assert plain is None or plain == rows
 
     @pytest.mark.parametrize(
@@ -316,7 +352,7 @@ class TestBuildGraph:
     def test_synchronous_edge_discarded(self):
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2016, 5))]
         graph, report = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b")])
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs([("a", "b")])]
         )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
@@ -324,7 +360,7 @@ class TestBuildGraph:
     def test_older_citing_discarded(self):
         nodes = [("a", PubTime(2015, 5)), ("b", PubTime(2016, 5))]
         graph, report = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b")])
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs([("a", "b")])]
         )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
@@ -332,7 +368,7 @@ class TestBuildGraph:
     def test_self_loop_counts_as_synchronous(self):
         nodes = [("a", PubTime(2016, 5))]
         graph, report = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "a")])
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs([("a", "a")])]
         )
         assert graph.m == 0
         assert report.synchronous_edges_discarded == 1
@@ -341,7 +377,7 @@ class TestBuildGraph:
         nodes = [("a", PubTime(2016, 5)), ("b", PubTime(2015, 5))]
         edges = [("a", "b"), ("a", "b")]
         graph, report = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges)
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs(edges)]
         )
         assert graph.m == 1
         assert report.duplicate_edges_discarded == 1
@@ -354,7 +390,7 @@ class TestBuildGraph:
         ]
         edges = [("a", "b"), ("a", "b"), ("b", "c"), ("a", "c")]
         graph, report = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges)
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs(edges)]
         )
         assert report.edges_read == 4
         assert (
@@ -369,12 +405,12 @@ class TestBuildGraph:
         nodes = [("a", PubTime(2016, 5))]
         with pytest.raises(IngestError, match="unknown cited id"):
             build_graph(
-                NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "zz")])
+                NodeTable.from_pairs(nodes), [EdgeTable.from_pairs([("a", "zz")])]
             )
 
     def test_zero_nodes_is_fatal(self):
         with pytest.raises(IngestError, match="zero nodes"):
-            build_graph(NodeTable.from_pairs([]), EdgeTable.from_pairs([]))
+            build_graph(NodeTable.from_pairs([]), [EdgeTable.from_pairs([])])
 
     def test_every_stored_edge_strictly_decreases_time(self, fix7_graph):
         tkey = fix7_graph.time_keys
@@ -395,14 +431,14 @@ class TestTopologicalOrder:
 
     def test_single_node(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), [EdgeTable.from_pairs([])]
         )
         assert topological_order(graph).tolist() == [0]
 
     def test_isolated_nodes_tie_break_by_id(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("b", PubTime(2016, 1)), ("a", PubTime(2015, 1))]),
-            EdgeTable.from_pairs([]),
+            [EdgeTable.from_pairs([])],
         )
         order = [graph.node_ids[i] for i in topological_order(graph)]
         assert order == ["a", "b"]
@@ -433,14 +469,16 @@ class TestLongestPath:
     def test_edgeless(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
-            EdgeTable.from_pairs([]),
+            [EdgeTable.from_pairs([])],
         )
         assert longest_path_length(graph) == 0
 
     def test_chain_of_five(self):
         nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(5)]
         edges = [(f"n{i}", f"n{i+1}") for i in range(4)]
-        graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges))
+        graph, _ = build_graph(
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs(edges)]
+        )
         assert longest_path_length(graph) == 4
 
     @pytest.mark.parametrize("size", [1, 2, 40])
@@ -450,9 +488,10 @@ class TestLongestPath:
             time_keys=np.arange(size, 0, -1, dtype=np.int64),
         )
         chain, _ = build_graph(
-            nodes, EdgeTable.from_pairs((f"n{i}", f"n{i + 1}") for i in range(size - 1))
+            nodes,
+            [EdgeTable.from_pairs((f"n{i}", f"n{i + 1}") for i in range(size - 1))],
         )
-        edgeless, _ = build_graph(nodes, EdgeTable.from_pairs([]))
+        edgeless, _ = build_graph(nodes, [EdgeTable.from_pairs([])])
         assert longest_path_length(chain) == _heap_order_dp(chain) == size - 1
         assert longest_path_length(edgeless) == _heap_order_dp(edgeless) == 0
 
@@ -574,7 +613,7 @@ class TestParseMembership:
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_row_by_row_grouping(self, tmp_path_factory, rows):
         fix7_graph, _ = build_graph(
-            NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+            NodeTable.from_pairs(FIX7_NODES), [EdgeTable.from_pairs(FIX7_EDGES)]
         )
         body = "".join(f"{nid},{label},{weight!r}\n" for nid, label, weight in rows)
         text = "id,discipline,weight\n" + body
@@ -594,7 +633,7 @@ class TestParseMembership:
     def test_rows_always_sum_to_one(self, tmp_path_factory, weights):
         tmp_path = tmp_path_factory.mktemp("membership")
         nodes = [("a", PubTime(2016, 1))]
-        graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs([]))
+        graph, _ = build_graph(NodeTable.from_pairs(nodes), [EdgeTable.from_pairs([])])
         body = "".join(f"a,d{j},{w}\n" for j, w in enumerate(weights))
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, _ = parse_membership(path, graph)
@@ -728,7 +767,7 @@ def _check_membership_rows(path, graph: CitationGraph) -> None:
 
 def _fix7_graph():
     graph, _ = build_graph(
-        NodeTable.from_pairs(FIX7_NODES), EdgeTable.from_pairs(FIX7_EDGES)
+        NodeTable.from_pairs(FIX7_NODES), [EdgeTable.from_pairs(FIX7_EDGES)]
     )
     return graph
 
@@ -902,6 +941,122 @@ class TestFirstBadRow:
             expected = expected.format(path=path)
         assert _outcome(read, path) == expected
         assert _outcome(oracle, path) == expected
+
+
+def _edges_against_no_nodes(path) -> None:
+    """parse_edges, then build_graph on an empty node table."""
+    build_graph(NodeTable.from_pairs([]), parse_edges(path))
+
+
+def _edge_rows_against_no_nodes(path) -> None:
+    """The oracle of ``_edges_against_no_nodes``: row checks, then zero nodes."""
+    _check_edge_rows(path)
+    raise IngestError("zero nodes: cannot build a citation graph")
+
+
+_NODE_TABLES = {
+    "fix7": (_edges_against_fix7, _edge_rows_against_fix7),
+    "empty": (_edges_against_no_nodes, _edge_rows_against_no_nodes),
+}
+
+
+@st.composite
+def _edge_files(draw):
+    """Bytes of an edge table whose ids are FIX7's, unknown or blank, with
+    maybe a row of a wrong field count, in LF or CRLF, with or without a
+    BOM, quotes around every field or a final newline."""
+    ids = st.sampled_from([*"1234567", "zz", "", " "])
+    pairs = st.lists(st.lists(ids, min_size=2, max_size=2))
+    rows = [list(citegraph.EDGE_HEADER), *draw(pairs)]
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([1, 3]))
+        at = draw(st.integers(min_value=1, max_value=len(rows)))
+        rows.insert(at, draw(st.lists(ids, min_size=width, max_size=width)))
+    quote = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(
+        ",".join(f'"{f}"' if quote else f for f in row) for row in rows
+    )
+    text += draw(st.sampled_from([newline, ""]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+
+
+class TestEdgeBlocks:
+    """With blocks of a few characters, a small edge table spans many
+    blocks, and ingest still reports what the row checks report."""
+
+    @pytest.mark.parametrize(
+        ("nodes", "text", "expected"),
+        [
+            (
+                "fix7",
+                "citing,cited\n1,2\n1,zz\n2,4\n2,5\n,3\n",
+                "{path}: line 6: missing citing id",
+            ),
+            (
+                "fix7",
+                "citing,cited\n1,zz\n2,4\n2,5\n3\n",
+                "{path}: line 5: expected 2 fields, got 1",
+            ),
+            (
+                "fix7",
+                "citing,cited\n1,2\n2,4\n2,5\n5,zz\n",
+                "{path}: line 5: unknown cited id 'zz'",
+            ),
+            (
+                "empty",
+                "citing,cited\n1,2\n2,4\n",
+                "zero nodes: cannot build a citation graph",
+            ),
+            ("empty", "citing,cited\n1,2\n2,\n", "{path}: line 3: missing cited id"),
+            (
+                "fix7",
+                '\ufeff"citing","cited"\r\n"1","zz"\r\n"2","4"\r\n"2",""',
+                "{path}: line 4: missing cited id",
+            ),
+            (
+                "fix7",
+                "\ufeffciting,cited\r\n1,2\r\n2,4\r\n5,zz",
+                "{path}: line 4: unknown cited id 'zz'",
+            ),
+        ],
+        ids=[
+            "blank-id-in-a-later-block-than-an-unknown-id",
+            "wrong-field-count-in-a-later-block",
+            "unknown-id-in-a-later-block",
+            "empty-node-table",
+            "blank-id-before-zero-nodes",
+            "quoted-crlf-bom-without-final-newline",
+            "plain-crlf-bom-without-final-newline",
+        ],
+    )
+    def test_reports_the_first(self, tmp_path, nodes, text, expected):
+        path = _write(tmp_path, "edges.csv", text)
+        read, oracle = _NODE_TABLES[nodes]
+        with mock.patch.object(citegraph, "_BLOCK", 4):
+            assert _outcome(read, path) == expected.format(path=path)
+            assert _outcome(oracle, path) == expected.format(path=path)
+
+    def test_unknown_id_names_its_edge(self, tmp_path):
+        path = _write(tmp_path, "edges.csv", "citing,cited\n1,2\n2,4\n2,5\n5,zz\n")
+        with (
+            mock.patch.object(citegraph, "_BLOCK", 4),
+            pytest.raises(citegraph.UnknownIdError, match="^edge 4: unknown cited"),
+        ):
+            build_graph(NodeTable.from_pairs(FIX7_NODES), parse_edges(path))
+
+    @given(
+        data=_edge_files(),
+        block=st.integers(min_value=1, max_value=24),
+        nodes=st.sampled_from(sorted(_NODE_TABLES)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_row_checks(self, tmp_path_factory, data, block, nodes):
+        path = tmp_path_factory.mktemp("edges") / "edges.csv"
+        path.write_bytes(data)
+        read, oracle = _NODE_TABLES[nodes]
+        with mock.patch.object(citegraph, "_BLOCK", block):
+            assert _outcome(read, path) == _outcome(oracle, path)
 
 
 class TestRandomDagInvariants:

@@ -105,7 +105,7 @@ def _source_dependence(op, membership):
 def _chain(k):
     nodes = [(f"n{i}", PubTime(2016, 12 - i)) for i in range(k)]
     edges = [(f"n{i}", f"n{i+1}") for i in range(k - 1)]
-    graph, _ = build_graph(NodeTable.from_pairs(nodes), EdgeTable.from_pairs(edges))
+    graph, _ = build_graph(NodeTable.from_pairs(nodes), [EdgeTable.from_pairs(edges)])
     return graph
 
 
@@ -211,7 +211,7 @@ class TestDependenceStack:
     def test_edgeless_graph_stack_is_membership_only(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
-            EdgeTable.from_pairs([]),
+            [EdgeTable.from_pairs([])],
         )
         q = dense_membership([[1.0], [1.0]])
         decomp = flow_decomposition(build_operator(graph), q)
@@ -262,7 +262,7 @@ class TestDependenceVector:
 
     def test_sink_is_one(self):
         graph, _ = build_graph(
-            NodeTable.from_pairs([("a", PubTime(2016, 1))]), EdgeTable.from_pairs([])
+            NodeTable.from_pairs([("a", PubTime(2016, 1))]), [EdgeTable.from_pairs([])]
         )
         assert dependence_vector(build_operator(graph)).tolist() == [1.0]
 

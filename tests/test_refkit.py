@@ -68,14 +68,15 @@ class TestDenseDependence:
     def test_edgeless_graph_is_identity(self):
         graph, _ = build_graph(
             NodeTable.from_pairs([("a", PubTime(2016, 1)), ("b", PubTime(2015, 1))]),
-            EdgeTable.from_pairs([]),
+            [EdgeTable.from_pairs([])],
         )
         assert np.array_equal(dense_dependence(graph), np.eye(2))
 
     def test_chain_end_to_end(self):
         nodes = [(c, PubTime(2016, 12 - i)) for i, c in enumerate("abc")]
         graph, _ = build_graph(
-            NodeTable.from_pairs(nodes), EdgeTable.from_pairs([("a", "b"), ("b", "c")])
+            NodeTable.from_pairs(nodes),
+            [EdgeTable.from_pairs([("a", "b"), ("b", "c")])],
         )
         p = dense_dependence(graph)
         assert p[graph.id_index["a"], graph.id_index["c"]] == 1.0
@@ -238,7 +239,7 @@ class TestRandomDagOracle:
         spell = ids.__getitem__
         oracle, report = build_graph(
             NodeTable(ids, time_keys),
-            EdgeTable.from_pairs(zip(map(spell, citing), map(spell, cited))),
+            [EdgeTable.from_pairs(zip(map(spell, citing), map(spell, cited)))],
         )
         assert graph.indptr.tobytes() == oracle.indptr.tobytes()
         assert graph.indices.tobytes() == oracle.indices.tobytes()
