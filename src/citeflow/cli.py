@@ -13,6 +13,7 @@ import dataclasses
 import io
 import os
 import re
+import resource
 import shutil
 import sys
 import tempfile
@@ -34,6 +35,13 @@ _ORDER_FILE = re.compile(r"M_[0-9]+\.csv")
 
 def _log(msg: str) -> None:
     print(f"[citeflow] {msg}", file=sys.stderr)
+
+
+def _peak_rss() -> str:
+    """This process's peak resident set size so far, for the stage log."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1 if sys.platform == "darwin" else 1 << 10  # bytes on macOS, else KiB
+    return f"peak RSS {peak * unit / (1 << 20):.1f} MiB"
 
 
 def _ingest(nodes_path, edges_path, membership_path):
@@ -218,7 +226,7 @@ def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
         f"graph: n={graph.n} m={graph.m} "
         f"synchronous={report.synchronous_edges_discarded} "
         f"duplicates={report.duplicate_edges_discarded} "
-        f"warnings={len(report.warnings)}"
+        f"warnings={len(report.warnings)}, {_peak_rss()}"
     )
     operator = dependence.build_operator(graph)
     _log(f"operator: longest path {operator.order_bound}")
@@ -227,7 +235,8 @@ def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
     full = decomp.order_count * graph.m
     _log(
         f"dependence: {decomp.order_count} orders beyond the identity, "
-        f"edge work {work} of {full} ({work / full if full else 0.0:.3f})"
+        f"edge work {work} of {full} ({work / full if full else 0.0:.3f}), "
+        f"{_peak_rss()}"
     )
 
     flow = decomp.total

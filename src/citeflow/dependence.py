@@ -20,9 +20,10 @@ are relabeled by descending height (a stable sort), and order t
 multiplies only the leading corner of the relabeled operator: its
 rows of height t or more, against the previous block, itself a row
 prefix, through the edges whose cited end has height t - 1 or more.
-Each order takes its edges from the previous order's by one filter,
-so the edge work is the sum over edges of height(cited) + 1 rather
-than (orders) x m. The projection onto the disciplines keeps the
+The engine keeps one copy of the edges, and each order filters the
+previous order's edges in place, so the edge work is the sum over
+edges of height(cited) + 1 rather than (orders) x m, and the edge
+memory is that one copy. The projection onto the disciplines keeps the
 publication order, and sums into ``r`` and the dependence stack run
 over the same row prefix; the result is put back in publication order
 once, at the end.
@@ -60,8 +61,9 @@ from .citegraph import (
 
 AUTO = "auto"
 
-# Output bytes per group of rows when an order updates the block in
-# place: the only dense memory the update takes beyond the block.
+# Scratch bytes of each step of an order: a group of output rows when it
+# updates the block in place, a chunk of entries when it filters the
+# edges. The only memory an order takes beyond the block and the edges.
 _GROUP_BYTES = 1 << 21
 
 
@@ -199,20 +201,44 @@ def _height_order(operator: NormalizedCitationOperator):
     return order, position
 
 
-def _corner(csr, rows: int, columns: int):
-    """The leading ``rows`` x ``columns`` corner of a CSR tuple.
+def _relabel(indices: np.ndarray, position: np.ndarray) -> None:
+    """Replace each entry of ``indices`` by its ``position``, in place.
 
-    Entries keep their stored order. One filter over the entries; every
-    entry in a row past ``rows`` must lie in a column past ``columns``.
+    Works one chunk of entries at a time, so the only scratch is one
+    chunk's gathered labels, within ``_GROUP_BYTES``.
+    """
+    chunk = max(1, _GROUP_BYTES // indices.itemsize)
+    for a in range(0, len(indices), chunk):
+        indices[a : a + chunk] = position[indices[a : a + chunk]]
+
+
+def _filter(csr, rows: int, columns: int):
+    """Cut a CSR tuple to its leading ``rows`` x ``columns`` corner, in place.
+
+    The kept entries move to the front of ``indices`` and ``data``, in
+    stored order, and ``indptr`` is rewritten to match; the corner is
+    returned as views of the same arrays. Every entry in a row past
+    ``rows`` must lie in a column past ``columns``. Works one chunk of
+    entries at a time: the scratch is the chunk's kept offsets and one
+    gathered array, 8 bytes per entry each, within ``_GROUP_BYTES``.
     """
     indptr, indices, data, _ = csr
-    keep = np.flatnonzero(indices < columns)
-    return (
-        keep.searchsorted(indptr[: rows + 1]).astype(indptr.dtype),
-        indices.take(keep),
-        data.take(keep),
-        columns,
-    )
+    chunk = max(1, _GROUP_BYTES // 16)
+    end, kept = int(indptr[rows]), 0
+    row = 1  # the first row end not yet rewritten
+    for a in range(0, end, chunk):
+        b = min(a + chunk, end)
+        offsets = np.flatnonzero(indices[a:b] < columns)
+        # Each row end in [a, b] becomes the count of kept entries before
+        # it; an end at a > 0 was already rewritten by the previous chunk.
+        stop = row + int(indptr[row : rows + 1].searchsorted(b, side="right"))
+        ends = indptr[row:stop]
+        ends[:] = kept + offsets.searchsorted(ends - a)
+        row = stop
+        indices[kept : kept + len(offsets)] = indices[a:b].take(offsets)
+        data[kept : kept + len(offsets)] = data[a:b].take(offsets)
+        kept += len(offsets)
+    return indptr[: rows + 1], indices[:kept], data[:kept], columns
 
 
 def _take_rows(csr, rows: np.ndarray):
@@ -251,19 +277,23 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
     holds only until the next one is asked for. Stops early, before
     yielding it, at the first exactly zero block, which nilpotency
     guarantees within ``order_bound`` + 1 steps.
+
+    The edges are one copy of the operator's, relabeled to the height
+    order, filtered in place at each order to those the order reads.
     """
     # at_least[t]: how many publications have height t or more.
     at_least = np.cumsum(np.bincount(operator.heights)[::-1])[::-1]
     indptr, indices, data, n = _checked(
         (operator.indptr, operator.indices, operator.data, operator.n)
     )
-    step = _take_rows((indptr, position[indices], data, n), order)
+    step = _take_rows((indptr, indices, data, n), order)
+    _relabel(step[1], position)
     group = max(1, _GROUP_BYTES // (block.itemsize * max(block.shape[1], 1)))
     yield block
     for t in range(1, min(limit, operator.order_bound) + 1):
         # Edges whose cited end has height t - 1 or more, from the
         # previous order's edges; their citing ends have height >= t.
-        step = _corner(step, int(at_least[t]), int(at_least[t - 1]))
+        step = _filter(step, int(at_least[t]), int(at_least[t - 1]))
         step_indptr, step_indices, step_data, columns = step
         rows = int(at_least[t])
         # A row reads only rows of lower height, all of them below it, so
@@ -360,12 +390,12 @@ def flow_decomposition(
     block[:, k] = 1.0
     # Q^T with its columns in height order and its entries in publication
     # order, cut to the block's rows at each order.
-    qt_indptr, qt_indices, qt_data, _ = _transpose(q)
-    qt = (qt_indptr, position[qt_indices], qt_data, operator.n)
+    qt = _transpose(q)
+    _relabel(qt[1], position)
     flows: list[np.ndarray] = []
     r = np.zeros(operator.n, dtype=np.float64)
     for block in _powers(operator, order, position, block, limit):
-        qt = _corner(qt, k, len(block))
+        qt = _filter(qt, k, len(block))
         flows.append(_product(qt, block)[:, :k])
         r[: len(block)] += block[:, k]
     total = flows[0]

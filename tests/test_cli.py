@@ -318,8 +318,14 @@ class TestCompute:
     def test_logs_edge_work(self, fix7_files, tmp_path, capsys, extra, logged):
         out = tmp_path / "out"
         assert _compute(fix7_files, out, *extra) == 0
-        assert f"dependence: {logged}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"dependence: {logged}, peak RSS " in err
         assert not any("edge work" in p.read_text() for p in out.iterdir())
+        # Ingest and the engine each log the process's peak RSS so far.
+        for stage in ("graph", "dependence"):
+            line = next(x for x in err.splitlines() if f"] {stage}: " in x)
+            assert re.search(r", peak RSS [0-9]+\.[0-9] MiB$", line)
+        assert not any("peak RSS" in p.read_text() for p in out.iterdir())
 
     def test_logs_zero_weight_positive_edges(self, fix7_files, tmp_path, capsys):
         # FIX7's only positive edge, Y-Z, is the largest pair value, but

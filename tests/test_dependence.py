@@ -83,6 +83,23 @@ def _group_rows(rows, width):
     return mock.patch.object(dependence, "_GROUP_BYTES", 8 * width * rows)
 
 
+def _corner(csr, rows: int, columns: int):
+    """The leading ``rows`` x ``columns`` corner of a CSR tuple, as new
+    arrays: the copying filter that ``dependence._filter`` replaced.
+
+    Entries keep their stored order. One filter over the entries; every
+    entry in a row past ``rows`` must lie in a column past ``columns``.
+    """
+    indptr, indices, data, _ = csr
+    keep = np.flatnonzero(indices < columns)
+    return (
+        keep.searchsorted(indptr[: rows + 1]).astype(indptr.dtype),
+        indices.take(keep),
+        data.take(keep),
+        columns,
+    )
+
+
 def _source_dependence(op, membership):
     """Dense k x n dependence of each discipline on each publication.
 
@@ -465,6 +482,31 @@ class TestHeightOrderedIteration:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes
 
+    def test_one_copy_of_the_edges(self):
+        # On a deep graph the edges outweigh the block: 16 bytes an edge,
+        # copied once and filtered in place at each of about 70 orders.
+        # Beside the block and that copy, the engine holds the k x (k+1)
+        # products behind the flows it returns, a few words a publication
+        # (height order, positions, r, row pointers and Q^T) and one
+        # group's scratch. A second copy of the edges would not fit.
+        graph, membership = random_dag(
+            SynthSpec(n=12500, target_m=250000, k=30, seed=1, month_span=120)
+        )
+        op = build_operator(graph)
+        k = membership.k
+        block_bytes = graph.n * (k + 1) * 8
+        with _group_rows(64, k + 1):
+            budget = dependence._GROUP_BYTES
+            tracemalloc.start()
+            try:
+                decomp = flow_decomposition(op, membership)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        flows = (decomp.order_count + 1) * k * (k + 1) * 8
+        per_publication = 8 * 8 * graph.n
+        assert peak < block_bytes + 16 * graph.m + flows + per_publication + budget
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_edge_work_counts_the_edges_of_each_order(self, seed):
         graph, _ = random_dag(SynthSpec(n=150, target_m=600, k=2, seed=seed))
@@ -496,6 +538,55 @@ def _csr_arrays(draw):
     indices = np.array([c for row in per_row for c, _ in row], dtype=np.int64)
     data = np.array([v for row in per_row for _, v in row], dtype=np.float64)
     return indptr, indices, data, ncols
+
+
+@st.composite
+def _nested_corners(draw):
+    """CSR arrays and a sequence of ever smaller ``(rows, columns)``
+    corners, as the engine's orders take them: every entry of a row past
+    a corner's rows lies in a column past its columns. Rows may be empty
+    or lose every entry, and entries may be zero."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    steps = draw(st.integers(min_value=1, max_value=4))
+    cuts = st.lists(st.tuples(st.integers(0, nrows), st.integers(0, ncols)),
+                    min_size=steps, max_size=steps)
+    pairs = draw(cuts)
+    corners = list(zip(sorted((r for r, _ in pairs), reverse=True),
+                       sorted((c for _, c in pairs), reverse=True)))
+    values = st.sampled_from([0.0, -0.0]) | st.floats(
+        min_value=-1e300, max_value=1e300, allow_subnormal=True
+    )
+    per_row = []
+    for i in range(nrows):
+        low = max([c for r, c in corners if i >= r], default=0)
+        entries = st.lists(st.tuples(st.integers(low, ncols - 1), values), max_size=5)
+        per_row.append(draw(entries) if low < ncols else [])
+    indptr = np.cumsum([0] + [len(row) for row in per_row])
+    indices = np.array([c for row in per_row for c, _ in row], dtype=np.int64)
+    data = np.array([v for row in per_row for _, v in row], dtype=np.float64)
+    return (indptr, indices, data, ncols), corners
+
+
+class TestFilter:
+    """The in-place filter against the copying one, byte for byte."""
+
+    @given(case=_nested_corners(), chunk=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_copying_filter(self, case, chunk):
+        want, corners = case
+        arrays = [array.copy() for array in want[:3]]
+        got = (*arrays, want[3])
+        # Chunks of 1 to 6 entries end inside rows and on row ends.
+        with mock.patch.object(dependence, "_GROUP_BYTES", 16 * chunk):
+            for rows, columns in corners:
+                want = _corner(want, rows, columns)
+                got = dependence._filter(got, rows, columns)
+                assert got[3] == want[3]
+                for array, view, oracle in zip(arrays, got[:3], want[:3]):
+                    assert view.base is array  # filtered in place
+                    assert view.dtype == oracle.dtype
+                    assert view.tobytes() == oracle.tobytes()
 
 
 class TestPlainArrayKernels:
