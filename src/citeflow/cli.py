@@ -233,10 +233,11 @@ def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
     decomp = dependence.flow_decomposition(operator, membership, args.max_order)
     work = dependence.edge_work(operator, decomp.order_count)
     full = decomp.order_count * graph.m
+    groups = dependence.column_groups(membership.k)
     _log(
         f"dependence: {decomp.order_count} orders beyond the identity, "
         f"edge work {work} of {full} ({work / full if full else 0.0:.3f}), "
-        f"{_peak_rss()}"
+        f"in {groups} column group{'s' if groups != 1 else ''}, {_peak_rss()}"
     )
 
     flow = decomp.total

@@ -11,12 +11,14 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citeflow import dependence
 from citeflow.cli import _write_table, main
 from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
 
@@ -305,22 +307,38 @@ class TestCompute:
         assert f"wrote {files} files" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("extra", "logged"),
+        ("extra", "width", "logged"),
         [
-            ((), "3 orders beyond the identity, edge work 15 of 24 (0.625)"),
+            (
+                (),
+                64,
+                "3 orders beyond the identity, edge work 15 of 24 (0.625), "
+                "in 1 column group",
+            ),
             (
                 ("--max-order", "1"),
-                "1 orders beyond the identity, edge work 8 of 8 (1.000)",
+                64,
+                "1 orders beyond the identity, edge work 8 of 8 (1.000), "
+                "in 1 column group",
+            ),
+            (
+                (),
+                2,
+                "3 orders beyond the identity, edge work 15 of 24 (0.625), "
+                "in 2 column groups",
             ),
         ],
-        ids=["auto", "max-order-1"],
+        ids=["auto", "max-order-1", "two-column-groups"],
     )
-    def test_logs_edge_work(self, fix7_files, tmp_path, capsys, extra, logged):
+    def test_logs_edge_work(self, fix7_files, tmp_path, capsys, extra, width, logged):
         out = tmp_path / "out"
-        assert _compute(fix7_files, out, *extra) == 0
+        # FIX7's [Q | 1] has 4 columns: one group, or two of width 2.
+        with mock.patch.object(dependence, "_GROUP_COLUMNS", width):
+            assert _compute(fix7_files, out, *extra) == 0
         err = capsys.readouterr().err
         assert f"dependence: {logged}, peak RSS " in err
-        assert not any("edge work" in p.read_text() for p in out.iterdir())
+        for text in ("edge work", "column group"):
+            assert not any(text in p.read_text() for p in out.iterdir())
         # Ingest and the engine each log the process's peak RSS so far.
         for stage in ("graph", "dependence"):
             line = next(x for x in err.splitlines() if f"] {stage}: " in x)

@@ -83,6 +83,11 @@ def _group_rows(rows, width):
     return mock.patch.object(dependence, "_GROUP_BYTES", 8 * width * rows)
 
 
+def _group_columns(width):
+    """Make ``flow_decomposition`` run ``[Q | 1]`` ``width`` columns at a time."""
+    return mock.patch.object(dependence, "_GROUP_COLUMNS", width)
+
+
 def _corner(csr, rows: int, columns: int):
     """The leading ``rows`` x ``columns`` corner of a CSR tuple, as new
     arrays: the copying filter that ``dependence._filter`` replaced.
@@ -432,16 +437,19 @@ class TestHeightOrderedIteration:
         ones = sparse.csr_matrix(np.ones((graph.n, 1)))
         vector_want = _full_stack(op, ones, limit)[:, 0]
         # Each order updates its block in place, a group of rows at a
-        # time; any size of group gives the same bytes.
+        # time, and the flows run a group of columns at a time (all of
+        # them unpatched, as k <= 5 here); any size of either group gives
+        # the same bytes.
         for rows in (1, 2, 3, graph.n):
-            with _group_rows(rows, k + 1):
-                decomp = flow_decomposition(op, membership, max_order)
-            assert decomp.order_count == len(flows) - 1
-            assert decomp.identity_flow.tobytes() == flows[0].tobytes()
-            for got, want in zip(decomp.order_flows, flows[1:]):
-                assert got.tobytes() == want.tobytes()
-            assert decomp.total.tobytes() == total.tobytes()
-            assert decomp.r.tobytes() == r.tobytes()
+            for columns in (1, 2, k + 1):
+                with _group_rows(rows, min(columns, k + 1)), _group_columns(columns):
+                    decomp = flow_decomposition(op, membership, max_order)
+                assert decomp.order_count == len(flows) - 1
+                assert decomp.identity_flow.tobytes() == flows[0].tobytes()
+                for got, want in zip(decomp.order_flows, flows[1:]):
+                    assert got.tobytes() == want.tobytes()
+                assert decomp.total.tobytes() == total.tobytes()
+                assert decomp.r.tobytes() == r.tobytes()
             with _group_rows(rows, k):
                 stack = dependence_stack(op, membership, max_order)
             assert stack.tobytes() == stack_want.tobytes()
@@ -459,16 +467,19 @@ class TestHeightOrderedIteration:
         inputs = [membership.indptr, membership.indices, membership.data]
         inputs += [op.indptr, op.indices, op.data, op.heights]
         before = [array.copy() for array in inputs]
-        with _group_rows(2, 4):
-            flow_decomposition(op, membership)
-            dependence_stack(op, membership)
-            dependence_vector(op)
-        for array, copy in zip(inputs, before):
-            assert array.tobytes() == copy.tobytes()
+        # Unpatched, [Q | 1] runs as one group; with width 2, as two.
+        for columns in (dependence._GROUP_COLUMNS, 2):
+            with _group_rows(2, 4), _group_columns(columns):
+                flow_decomposition(op, membership)
+                dependence_stack(op, membership)
+                dependence_vector(op)
+            for array, copy in zip(inputs, before):
+                assert array.tobytes() == copy.tobytes()
 
     def test_one_dense_block_at_paper_width(self):
-        # At k=130 the n x (k+1) block is most of the engine's memory; a
-        # second block alive at once would take the peak past 2x.
+        # At k=130 the dense blocks are most of the engine's memory: one
+        # group of at most 64 of the k+1 columns at a time. Two n x (k+1)
+        # blocks alive at once would take the peak past 2x.
         graph, membership = random_dag(
             SynthSpec(n=20000, target_m=100000, k=130, seed=1)
         )
@@ -507,6 +518,31 @@ class TestHeightOrderedIteration:
         per_publication = 8 * 8 * graph.n
         assert peak < block_bytes + 16 * graph.m + flows + per_publication + budget
 
+    def test_one_column_group_at_paper_width(self):
+        # At k=130, [Q | 1] runs as three groups of at most 64 columns
+        # (43 or 44 here), one block alive at a time. Beside that block
+        # the engine holds one copy of the edges (16 bytes each), the
+        # flows it returns (counted as k x (k+1) each), a few words a
+        # publication and one group budget. The whole n x (k+1) block
+        # would not fit.
+        graph, membership = random_dag(
+            SynthSpec(n=20000, target_m=100000, k=130, seed=1)
+        )
+        op = build_operator(graph)
+        k = membership.k
+        assert dependence.column_groups(k) == 3
+        group_bytes = graph.n * dependence._GROUP_COLUMNS * 8
+        tracemalloc.start()
+        try:
+            decomp = flow_decomposition(op, membership)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flows = (decomp.order_count + 1) * k * (k + 1) * 8
+        per_publication = 8 * 8 * graph.n
+        budget = dependence._GROUP_BYTES
+        assert peak < group_bytes + 16 * graph.m + flows + per_publication + budget
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_edge_work_counts_the_edges_of_each_order(self, seed):
         graph, _ = random_dag(SynthSpec(n=150, target_m=600, k=2, seed=seed))
@@ -521,6 +557,58 @@ class TestHeightOrderedIteration:
         op = build_operator(fix7_graph)
         assert edge_work(op, 3) == 15
         assert edge_work(op, 1) == fix7_graph.m
+
+
+class TestColumnGroups:
+    """Flows run a group of columns of [Q | 1] at a time, byte for byte."""
+
+    def test_sink_only_discipline_turns_zero_early(self):
+        # A chain a -> b -> c -> d runs the unit group to order 3. Discipline
+        # d2 is held only by the sink s, which only e cites: its group is
+        # nonzero at order 1 and stops there, so its column of the later
+        # flows stays +0.0.
+        months = {"a": 12, "b": 11, "c": 10, "d": 9, "e": 12, "s": 11}
+        nodes = [(name, PubTime(2016, month)) for name, month in months.items()]
+        edges = [("a", "b"), ("b", "c"), ("c", "d"), ("e", "s")]
+        graph, _ = build_graph(
+            NodeTable.from_pairs(nodes), [EdgeTable.from_pairs(edges)]
+        )
+        held = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1, "s": 2}
+        array = np.zeros((graph.n, 3))
+        for name, column in held.items():
+            array[graph.id_index[name], column] = 1.0
+        membership = dense_membership(array)
+        op = build_operator(graph)
+        flows, total, r = _full_flows(op, as_scipy(membership), op.order_bound)
+        with _group_columns(1):
+            decomp = flow_decomposition(op, membership)
+        assert decomp.order_count == 3
+        assert decomp.complete
+        assert decomp.order_flows[0][:, 2].tolist() == [0.0, 1.0, 0.0]
+        for order_flow in decomp.order_flows[1:]:
+            assert order_flow[:, 2].tobytes() == np.zeros(3).tobytes()
+        assert decomp.order_flows[2][:, 1].any()
+        for got, want in zip((decomp.identity_flow, *decomp.order_flows), flows):
+            assert got.tobytes() == want.tobytes()
+        assert decomp.total.tobytes() == total.tobytes()
+        assert decomp.r.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_truncation_with_several_groups(self, columns):
+        graph, membership = random_dag(SynthSpec(n=300, target_m=1500, k=5, seed=7))
+        op = build_operator(graph)
+        assert op.order_bound > 3
+        for max_order in (0, 1, 3, op.order_bound - 1):
+            want = flow_decomposition(op, membership, max_order)
+            with _group_columns(columns):
+                got = flow_decomposition(op, membership, max_order)
+            assert got.order_count == want.order_count == max_order
+            assert not got.complete
+            for a, b in zip(
+                (got.identity_flow, *got.order_flows, got.total, got.r),
+                (want.identity_flow, *want.order_flows, want.total, want.r),
+            ):
+                assert a.tobytes() == b.tobytes()
 
 
 @st.composite
