@@ -231,9 +231,9 @@ def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
     operator = dependence.build_operator(graph)
     _log(f"operator: longest path {operator.order_bound}")
     decomp = dependence.flow_decomposition(operator, membership, args.max_order)
-    work = dependence.edge_work(operator, decomp.order_count)
-    full = decomp.order_count * graph.m
-    groups = dependence.column_groups(membership.k)
+    work = sum(dependence.edge_work(operator, o) for o in decomp.group_orders)
+    full = sum(decomp.group_orders) * graph.m
+    groups = len(decomp.group_orders)
     _log(
         f"dependence: {decomp.order_count} orders beyond the identity, "
         f"edge work {work} of {full} ({work / full if full else 0.0:.3f}), "

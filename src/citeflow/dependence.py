@@ -5,16 +5,15 @@ adjacency row-normalized by outdegree. On a DAG that operator is
 nilpotent, so the power series behind each quantity is a finite sum
 with at most ``longest_path_length`` + 1 terms, and iteration stops on
 an exactly zero increment rather than an epsilon test. The full n x n
-dependence matrix is never materialized; the iteration carries the
-dense n x (k+1) block ``[Q | 1]``, the membership columns next to a
-unit column, and keeps only its k x k projections and the dependence
-vector. The flows run it one group of at most ``_GROUP_COLUMNS``
-columns at a time, so one n x width block is alive at once. Each order
-overwrites that block in place, so the only other dense memory is one
-group of rows.
-Each input has one format: the classification is a ``Membership``, which
-``citegraph.membership_from_indices`` makes from index arrays, and
-``propagate`` takes a CSR tuple ``(indptr, indices, data, ncols)``.
+dependence matrix is never materialized; the iteration carries dense
+columns of ``[Q | 1]``, the membership columns next to a unit column,
+and keeps only their sums and k x k projections. Every entry point
+runs it one group of at most ``_GROUP_COLUMNS`` columns at a time, with
+the same code, so one n x width block is alive at once: the flows and
+``r`` over ``[Q | 1]``, the stack over Q, and ``dependence_vector`` as
+the ``r`` of no discipline. Each order overwrites the block in place,
+so the only other dense memory is one group of rows. The classification
+is a ``Membership``; ``propagate`` takes ``(indptr, indices, data, ncols)``.
 
 The pass runs in height order. The height of a publication is the
 length of the longest path that starts there, and the order-t block
@@ -56,12 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sparsetools import csr_matvecs, csr_row_index, csr_tocsc, csr_todense
-from .citegraph import (
-    CitationGraph,
-    Membership,
-    longest_path_length,
-    membership_from_indices,
-)
+from .citegraph import CitationGraph, Membership, longest_path_length
 
 AUTO = "auto"
 
@@ -321,68 +315,17 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
         yield block[:rows]
 
 
-def dependence_stack(
-    operator: NormalizedCitationOperator, membership: Membership, max_order=AUTO
-) -> np.ndarray:
-    """Dense n x k dependence of each publication on each discipline.
-
-    Sums the membership columns over citation paths of length up to
-    ``max_order``; AUTO takes every path, which gives the total
-    dependence.
-    """
-    q = _membership_csr(membership, operator.n)
-    order, position = _height_order(operator)
-    block = _dense(_take_rows(q, order))
-    total = np.zeros(block.shape, dtype=np.float64)
-    limit = _order_limit(operator, max_order)
-    for block in _powers(operator, order, position, block, limit):
-        total[: len(block)] += block
-    return total[position]
-
-
-def dependence_vector(
-    operator: NormalizedCitationOperator, max_order=AUTO
-) -> np.ndarray:
-    """Total dependence of each publication on the whole network.
-
-    The iteration run on a single all-ones column. At full order it
-    satisfies r = (operator) r + 1, which is PageRank with damping
-    factor one and a unit exogenous vector.
-    """
-    n = operator.n
-    ones, _ = membership_from_indices(
-        n, ("all",), np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n)
-    )
-    return dependence_stack(operator, ones, max_order)[:, 0]
-
-
-@dataclass(frozen=True, eq=False)
-class FlowDecomposition:
-    """Discipline-to-discipline citation flow split by path length.
-
-    ``identity_flow`` (F0) is the flow of the length-zero paths;
-    ``order_flows[i-1]`` is the flow carried by paths of length exactly
-    ``i``; ``total`` (F) is their running sum. ``r`` is the dependence
-    vector over the same orders. ``complete`` is set when ``total`` and
-    ``r`` cover every path: the iteration stopped on an exactly zero
-    order or reached the longest path length.
-    """
-
-    identity_flow: np.ndarray
-    order_flows: tuple[np.ndarray, ...]
-    total: np.ndarray
-    r: np.ndarray
-    complete: bool
-
-    @property
-    def order_count(self) -> int:
-        return len(self.order_flows)
+def _groups(columns: int) -> list[tuple[int, int]]:
+    """The fewest groups of at most ``_GROUP_COLUMNS`` of ``columns`` columns,
+    as even as they can be: ``(start, stop)`` of each, in column order."""
+    count = -(-columns // _GROUP_COLUMNS)
+    return [(columns * g // count, columns * (g + 1) // count) for g in range(count)]
 
 
 def column_groups(k: int) -> int:
     """How many runs of the iteration ``flow_decomposition`` makes for
     ``k`` disciplines: one per group of columns of ``[Q | 1]``."""
-    return -(-(k + 1) // _GROUP_COLUMNS)
+    return len(_groups(k + 1))
 
 
 def _group_block(q, order, start: int, stop: int) -> np.ndarray:
@@ -406,14 +349,65 @@ def _group_block(q, order, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _run_group(operator, q, order, position, start: int, stop: int, limit: int,
-               flows: list):
+def _stack_group(operator, q, order, position, start, stop, limit, total) -> None:
+    """Add the sums of the iteration on columns ``start``..``stop - 1`` of
+    Q into the same columns of ``total``, rows in height order."""
+    block = _group_block(q, order, start, stop)
+    for block in _powers(operator, order, position, block, limit):
+        total[: len(block), start:stop] += block
+
+
+def dependence_stack(
+    operator: NormalizedCitationOperator, membership: Membership, max_order=AUTO
+) -> np.ndarray:
+    """Dense n x k dependence of each publication on each discipline.
+
+    Sums the membership columns over citation paths of length up to
+    ``max_order``; AUTO takes every path, which gives the total
+    dependence.
+    """
+    q = _membership_csr(membership, operator.n)
+    limit = _order_limit(operator, max_order)
+    order, position = _height_order(operator)
+    total = np.zeros((operator.n, q[3]), dtype=np.float64)
+    for start, stop in _groups(q[3]):
+        _stack_group(operator, q, order, position, start, stop, limit, total)
+    return total[position]
+
+
+@dataclass(frozen=True, eq=False)
+class FlowDecomposition:
+    """Discipline-to-discipline citation flow split by path length.
+
+    ``identity_flow`` (F0) is the flow of the length-zero paths;
+    ``order_flows[i-1]`` is the flow carried by paths of length exactly
+    ``i``; ``total`` (F) is their running sum. ``r`` is the dependence
+    vector over the same orders. ``complete`` is set when ``total`` and
+    ``r`` cover every path: the iteration stopped on an exactly zero
+    order or reached the longest path length. ``group_orders`` holds the
+    orders each column group computed, one whose block turned zero
+    included; the sum of ``edge_work`` over them is the run's edge work.
+    """
+
+    identity_flow: np.ndarray
+    order_flows: tuple[np.ndarray, ...]
+    total: np.ndarray
+    r: np.ndarray
+    complete: bool
+    group_orders: tuple[int, ...]
+
+    @property
+    def order_count(self) -> int:
+        return len(self.order_flows)
+
+
+def _flow_group(operator, q, order, position, start, stop, limit, flows):
     """Run the iteration on columns ``start``..``stop - 1`` of ``[Q | 1]``.
 
-    The group holding the unit column runs first: it appends each
-    order's k x k flow to ``flows`` and returns ``r``, the sum of the
-    unit column, in height order. Every later group writes its columns
-    of the flows it reaches and returns None.
+    Writes the group's columns of each order's k x k flow, appending it
+    to ``flows`` if no group has reached that order yet. Returns the
+    orders it computed and, from the group holding the unit column,
+    ``r`` in height order (None from any other).
     """
     k = q[3]
     block = _group_block(q, order, start, stop)
@@ -425,16 +419,13 @@ def _run_group(operator, q, order, position, start: int, stop: int, limit: int,
     for t, block in enumerate(_powers(operator, order, position, block, limit)):
         qt = _filter(qt, k, len(block))
         product = _product(qt, block)
-        if r is None:
-            flows[t][:, start:stop] = product
-            continue
-        r[: len(block)] += block[:, -1]
-        if start:  # the later groups fill in the columns before it
+        if t == len(flows):
             flows.append(np.zeros((k, k), dtype=np.float64))
-            flows[-1][:, start:] = product[:, :-1]
-        else:
-            flows.append(product[:, :-1])
-    return r
+        flows[t][:, start : min(stop, k)] = product[:, : k - start]
+        if r is not None:
+            r[: len(block)] += block[:, -1]
+    # Order t + 1 ran too, unless the limit or the bound stopped it first.
+    return min(t + 1, limit, operator.order_bound), r
 
 
 def flow_decomposition(
@@ -449,16 +440,12 @@ def flow_decomposition(
     overwrites the block in place.
 
     Each column of the iteration is independent of the others, so it
-    runs once per group of at most ``_GROUP_COLUMNS`` columns, the
-    groups as even as they can be, and only one group's n x width block
-    is alive at a time. The group holding the unit column runs first and
-    sets ``r`` and the number of orders; the later groups run at most
-    that many. Membership weights are at most 1 and rounding is
-    monotone, so each membership column of the block is at most the
-    unit column, entry by entry, at every order: the unit group turns
-    zero exactly when the whole block does. A later group that turns
-    zero earlier leaves its columns of the later flows +0.0, as the
-    whole block would.
+    runs once per group of ``_groups``, only one group's n x width block
+    alive at a time. Every group runs to the same limit and stops at its
+    own first exactly zero block, as the whole block would stop at its
+    own: the flows reach the longest group's orders, and the columns of
+    a group that stopped earlier stay +0.0 in the later ones, whatever
+    the order the groups run in.
 
     Order flows are nonnegative by construction. ``max_order`` AUTO
     runs to the longest path length; a numeric value truncates earlier
@@ -469,13 +456,9 @@ def flow_decomposition(
     limit = _order_limit(operator, max_order)
     order, position = _height_order(operator)
     flows: list[np.ndarray] = []
-    groups = column_groups(k)
-    # Groups as even as they can be; the last, with the unit column, first.
-    bounds = [((k + 1) * g // groups, (k + 1) * (g + 1) // groups)
-              for g in reversed(range(groups))]
-    r = _run_group(operator, q, order, position, *bounds[0], limit, flows)
-    for start, stop in bounds[1:]:
-        _run_group(operator, q, order, position, start, stop, len(flows) - 1, flows)
+    runs = [_flow_group(operator, q, order, position, start, stop, limit, flows)
+            for start, stop in _groups(k + 1)]
+    r = runs[-1][1]  # the last group holds the unit column
     total = flows[0]
     for order_flow in flows[1:]:
         total = total + order_flow
@@ -486,4 +469,20 @@ def flow_decomposition(
         total=total,
         r=r[position],
         complete=order_count < limit or order_count >= operator.order_bound,
+        group_orders=tuple(orders for orders, _ in runs),
     )
+
+
+def dependence_vector(
+    operator: NormalizedCitationOperator, max_order=AUTO
+) -> np.ndarray:
+    """Total dependence of each publication on the whole network.
+
+    The ``r`` of ``flow_decomposition`` over no discipline, where
+    ``[Q | 1]`` is the unit column alone. At full order it satisfies
+    r = (operator) r + 1, which is PageRank with damping factor one and
+    a unit exogenous vector.
+    """
+    none = Membership(k=0, labels=(), indptr=np.zeros(operator.n + 1, dtype=np.int64),
+                      indices=np.zeros(0, dtype=np.int64), data=np.zeros(0))
+    return flow_decomposition(operator, none, max_order).r

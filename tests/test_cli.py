@@ -324,7 +324,7 @@ class TestCompute:
             (
                 (),
                 2,
-                "3 orders beyond the identity, edge work 15 of 24 (0.625), "
+                "3 orders beyond the identity, edge work 30 of 48 (0.625), "
                 "in 2 column groups",
             ),
         ],

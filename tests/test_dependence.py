@@ -437,9 +437,9 @@ class TestHeightOrderedIteration:
         ones = sparse.csr_matrix(np.ones((graph.n, 1)))
         vector_want = _full_stack(op, ones, limit)[:, 0]
         # Each order updates its block in place, a group of rows at a
-        # time, and the flows run a group of columns at a time (all of
-        # them unpatched, as k <= 5 here); any size of either group gives
-        # the same bytes.
+        # time, and the flows and the stack run a group of columns at a
+        # time (all of them unpatched, as k <= 5 here); any size of either
+        # group gives the same bytes.
         for rows in (1, 2, 3, graph.n):
             for columns in (1, 2, k + 1):
                 with _group_rows(rows, min(columns, k + 1)), _group_columns(columns):
@@ -450,9 +450,10 @@ class TestHeightOrderedIteration:
                     assert got.tobytes() == want.tobytes()
                 assert decomp.total.tobytes() == total.tobytes()
                 assert decomp.r.tobytes() == r.tobytes()
-            with _group_rows(rows, k):
-                stack = dependence_stack(op, membership, max_order)
-            assert stack.tobytes() == stack_want.tobytes()
+            for columns in (1, 2, k):
+                with _group_rows(rows, min(columns, k)), _group_columns(columns):
+                    stack = dependence_stack(op, membership, max_order)
+                assert stack.tobytes() == stack_want.tobytes()
             with _group_rows(rows, 1):
                 vector = dependence_vector(op, max_order)
             assert vector.tobytes() == vector_want.tobytes()
@@ -543,6 +544,29 @@ class TestHeightOrderedIteration:
         budget = dependence._GROUP_BYTES
         assert peak < group_bytes + 16 * graph.m + flows + per_publication + budget
 
+    def test_stack_one_column_group_at_paper_width(self):
+        # The stack runs the k=130 columns of Q as three groups of 43 or
+        # 44, one block alive at a time. Beside its n x k sums in height
+        # order and their copy in publication order, the engine holds one
+        # group's block, one copy of the edges (16 bytes each), a few
+        # words a publication and one group budget. A whole n x k block
+        # would not fit.
+        graph, membership = random_dag(
+            SynthSpec(n=20000, target_m=100000, k=130, seed=1)
+        )
+        op = build_operator(graph)
+        tracemalloc.start()
+        try:
+            dependence_stack(op, membership)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = 2 * graph.n * membership.k * 8
+        group_bytes = graph.n * dependence._GROUP_COLUMNS * 8
+        per_publication = 8 * 8 * graph.n
+        budget = dependence._GROUP_BYTES
+        assert peak < sums + group_bytes + 16 * graph.m + per_publication + budget
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_edge_work_counts_the_edges_of_each_order(self, seed):
         graph, _ = random_dag(SynthSpec(n=150, target_m=600, k=2, seed=seed))
@@ -557,6 +581,25 @@ class TestHeightOrderedIteration:
         op = build_operator(fix7_graph)
         assert edge_work(op, 3) == 15
         assert edge_work(op, 1) == fix7_graph.m
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_group_orders_count_the_order_that_turned_zero(self, seed):
+        # With one column per group, group c computes one order for each
+        # nonzero image of column c of [Q | 1] and one for the image that
+        # turned exactly zero, within the limit and the longest path. Here
+        # some disciplines turn zero before the unit column does.
+        graph, membership = random_dag(SynthSpec(n=150, target_m=600, k=8, seed=seed))
+        op = build_operator(graph)
+        columns = np.hstack([as_scipy(membership).toarray(), np.ones((graph.n, 1))])
+        for limit in (0, 1, 2, op.order_bound):
+            want = tuple(
+                min(len(list(_full_powers(op, columns[:, [c]], limit))), limit,
+                    op.order_bound)
+                for c in range(membership.k + 1)
+            )
+            with _group_columns(1):
+                assert flow_decomposition(op, membership, limit).group_orders == want
+        assert len(set(want)) > 1
 
 
 class TestColumnGroups:
