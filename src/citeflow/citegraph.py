@@ -11,19 +11,28 @@ and a classification are each laid out by one function from index
 arrays, ``graph_from_indices`` and ``membership_from_indices``, which
 the parsers and the synthetic generator share.
 
-Each table is read and decoded once, then split a block of about 256K
-characters of whole lines at a time, into columns with the line of each
-row. A plain table (no quotes or NUL, carriage returns only in CRLF line
-ends, the same number of fields on every line) is split with
-``str.split``; any other file goes through the csv module, whose rows
-are grouped into blocks of the same kind. The node and membership
-tables join their blocks; ``parse_edges`` yields its blocks, and
-``build_graph`` turns each into index arrays before the next is split,
-so the id strings of a whole edge table are never alive at once. Each
-input rule is a mask over the columns with its message: the first row a
-mask rejects is reported with its line, ahead of any reader error that
-comes after it (a wrong field count, or a byte that is not UTF-8,
-wherever it lies in the file).
+Each table is split into columns, a block of about 256 KiB of whole
+lines at a time, with the line of each row. A plain table (no quotes or
+NUL, carriage returns only in CRLF line ends, the same number of fields
+on every line) that is ASCII after an optional BOM and holds no byte
+that ``str.strip`` removes is read as bytes and never decoded: it is
+streamed from the file twice, once to check it and once to split it,
+and the fields of a block are the spans between its commas and line
+ends, with no ``str`` per field. Any other file is read and decoded
+once; a plain one is split with ``str.split``, and the csv module reads
+the rest, whose rows are grouped into blocks of the same kind.
+
+Ids resolve through one ``IdTable``, an open-addressing hash table of
+the node ids keyed by their UTF-8 bytes, which also finds duplicate ids
+and groups the membership labels; only the one field that a message
+names is ever decoded. Year, month and weight columns read as bytes
+are cast all at once, and taken one string at a time only when that
+fails. The node and membership tables join their blocks;
+``parse_edges`` yields its blocks, and ``build_graph`` turns each into
+index arrays before the next is split. Each input rule is a mask over
+the columns with its message: the first row a mask rejects is reported
+with its line, ahead of any reader error that comes after it (a wrong
+field count, or a byte that is not UTF-8, wherever it lies in the file).
 """
 
 from __future__ import annotations
@@ -31,12 +40,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -112,6 +120,12 @@ class NodeTable:
             time_keys=np.array([t.key() for _, t in pairs], dtype=np.int64),
         )
 
+    @cached_property
+    def id_table(self) -> IdTable:
+        """The ``IdTable`` of ``ids``, built on first use (``parse_nodes``
+        sets the one it built)."""
+        return IdTable(_Fields.of(self.ids))
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
@@ -140,17 +154,27 @@ class CitationGraph:
     neighbours of node ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
     sorted ascending. ``time_keys`` holds each node's month key
     (``PubTime.key()``); every stored edge strictly decreases it, which
-    rules out cycles. ``heights`` is computed on first use and cached.
-    Safe for concurrent reads.
+    rules out cycles. ``heights``, ``id_table`` and ``id_index`` are
+    computed on first use and cached. Safe for concurrent reads.
     """
 
     node_ids: tuple[str, ...]
     time_keys: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    id_index: dict[str, int]
     n: int
     m: int
+
+    @cached_property
+    def id_table(self) -> IdTable:
+        """The ``IdTable`` of ``node_ids``, built on first use (``build_graph``
+        sets its node table's)."""
+        return IdTable(_Fields.of(self.node_ids))
+
+    @cached_property
+    def id_index(self) -> dict[str, int]:
+        """The position of each publication id, built on first use."""
+        return dict(zip(self.node_ids, range(self.n)))
 
     @property
     def outdegree(self) -> np.ndarray:
@@ -238,10 +262,18 @@ class Membership:
 # Bytes that the plain-table reader leaves to the csv module, and the
 # ASCII characters that str.strip removes (\x1c-\x1f among them).
 _CSV_ONLY = (b'"', b"\x00")
-_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-# About how many characters of whole lines are checked, split or looked up
-# at a time, so that the fields of a whole file are never alive at once.
+_ASCII_SPACE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_BOM = b"\xef\xbb\xbf"
+# About how many bytes of whole lines are checked, split or looked up at a
+# time, so that the fields of a whole file are never alive at once.
 _BLOCK = 1 << 18
+# Zero bytes after the fields of a column, so that every key loads in
+# place: a key takes at most _WORDS words, and an id table compares a
+# longer id as a whole string.
+_PAD = 64
+_WORDS = _PAD // 8
+# _MASKS[b] keeps the first b bytes of a little-endian uint64 word.
+_MASKS = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
 
 def _spans(text, newline, start: int = 0):
@@ -254,13 +286,48 @@ def _spans(text, newline, start: int = 0):
         start = end
 
 
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The binary file ``fh`` as blocks of whole lines: each read of
+    ``_BLOCK`` bytes that holds a newline ends a block at its last one,
+    and the last block ends where the file does."""
+    pieces: list[bytes] = []
+    while chunk := fh.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pieces, chunk[:cut]])
+            pieces = []
+        pieces.append(chunk[cut:])
+    if any(pieces):
+        yield b"".join(pieces)
+
+
+def _plain(block: bytes, width: int) -> bool:
+    """Whether the whole lines ``block`` are lines of a plain table of
+    ``width`` columns: no quote or NUL, carriage returns only in CRLF line
+    ends, ``width`` fields of at most ``csv.field_size_limit()`` bytes on
+    every line."""
+    if any(c in block for c in _CSV_ONLY) or (
+        b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+    ):
+        return False
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    # The end of the file ends a last line that lacks its newline.
+    count = ends.size + (not block.endswith(b"\n"))
+    line = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
+    return (
+        count % width == 0
+        and np.array_equal(buf[ends], np.tile(line, count // width)[: ends.size])
+        and int(np.diff(ends, prepend=-1, append=buf.size).max()) - 1
+        <= csv.field_size_limit()
+    )
+
+
 def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | None]:
     """The text of the file ``path`` without one leading BOM; whether it is
-    a plain table of ``width`` columns (no quote or NUL, carriage returns
-    only in CRLF line ends, ``width`` fields of at most
-    ``csv.field_size_limit()`` bytes on every line); and None, or the line
-    of its first byte that is not UTF-8 and the error that names it. Past
-    that byte, the text holds replacement characters.
+    a plain table of ``width`` columns (see ``_plain``); and None, or the
+    line of its first byte that is not UTF-8 and the error that names it.
+    Past that byte, the text holds replacement characters.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -270,26 +337,10 @@ def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | N
         lineno = data.count(b"\n", 0, exc.start) + 1
         bad = lineno, IngestError(f"{path}: line {lineno}: {exc}")
         return data.decode("utf-8", "replace").removeprefix("\ufeff"), False, bad
-    if any(c in data for c in _CSV_ONLY) or (
-        b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    ):
-        return text, False, None
     # A block of lines at a time: the masks and separator positions of the
     # whole file would take several times its size.
-    line = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    for start, end in _spans(data, b"\n"):
-        buf = np.frombuffer(data, np.uint8, end - start, start)
-        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-        # The end of the file ends a last line that lacks its newline.
-        count = ends.size + (not data.endswith(b"\n", start, end))
-        if not (
-            count % width == 0
-            and np.array_equal(buf[ends], np.tile(line, count // width)[: ends.size])
-            and int(np.diff(ends, prepend=-1, append=buf.size).max()) - 1
-            <= csv.field_size_limit()
-        ):
-            return text, False, None
-    return text, True, None
+    blocks = _line_blocks(io.BytesIO(data))
+    return text, all(_plain(block, width) for block in blocks), None
 
 
 def _csv_rows(path, header: tuple[str, ...], text: str, bad):
@@ -335,9 +386,127 @@ def _plain_fields(text: str, width: int) -> list[str]:
         text = text.replace("\r\n", ",")  # so a CRLF text, too, is copied once
     fields = text.replace("\n", ",").split(",")
     del fields[len(fields) // width * width :]  # the "" after a final newline
-    if not text.isascii() or any(c in text for c in _ASCII_SPACE):
-        fields = list(map(str.strip, fields))
-    return fields
+    return list(map(str.strip, fields))
+
+
+@dataclass(frozen=True, eq=False)
+class _Fields:
+    """One column of a table: field i is the UTF-8 bytes
+    ``data[starts[i] : starts[i] + lengths[i]]``, followed by at least
+    ``_PAD`` bytes of ``data``. ``texts`` holds the fields as str when
+    they were read as str, and is None when they were read as bytes:
+    then they are ASCII, with no newline.
+
+    Reads as a sequence of str; indexing decodes only the field asked for.
+    """
+
+    data: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    texts: list[str] | None = None
+
+    @classmethod
+    def of(cls, texts) -> _Fields:
+        """The column of the strings ``texts``."""
+        texts = list(texts)
+        encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        data = np.frombuffer(b"".join(encoded) + bytes(_PAD), np.uint8)
+        return cls(data, np.cumsum(lengths) - lengths, lengths, texts)
+
+    @classmethod
+    def join(cls, parts: Sequence[_Fields]) -> _Fields:
+        """The fields of ``parts``, one after another."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.of(())
+        offsets = np.cumsum([0] + [p.data.size for p in parts[:-1]])
+        return cls(
+            np.concatenate([p.data for p in parts]),
+            np.concatenate([p.starts + at for p, at in zip(parts, offsets)]),
+            np.concatenate([p.lengths for p in parts]),
+            None if parts[0].texts is None else [t for p in parts for t in p.texts],
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i) -> str:
+        if self.texts is not None:
+            return self.texts[i]
+        start = int(self.starts[i])
+        return self.data[start : start + int(self.lengths[i])].tobytes().decode()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.strings())
+
+    def strings(self) -> list[str]:
+        """The fields as str."""
+        if self.texts is not None:
+            return self.texts
+        # Each field and the byte after it, which is made a newline: ASCII
+        # fields read as bytes hold none, so one split parts them.
+        sizes = self.lengths + 1
+        ends = np.cumsum(sizes)
+        at = np.arange(int(ends[-1]) if ends.size else 0)
+        at += np.repeat(self.starts - (ends - sizes), sizes)
+        joined = self.data[at]
+        joined[ends - 1] = ord("\n")
+        return joined.tobytes().decode().split("\n")[:-1]
+
+    def words(self, count: int) -> np.ndarray:
+        """The fields as the columns of a (``count``, len) array of
+        little-endian uint64 words: the first 8 x ``count`` bytes of each
+        field, then zeros. ``count`` is at most ``_WORDS``, so every word
+        lies within ``data``."""
+        # The word at every byte: a view with stride 1.
+        runs = np.ndarray((self.data.size - 7,), "<u8", self.data, strides=(1,))
+        words = np.stack([runs[self.starts + 8 * j] for j in range(count)])
+        words &= _MASKS[np.clip(self.lengths - 8 * np.arange(count)[:, None], 0, 8)]
+        return words
+
+
+def _byte_table(path, header: tuple[str, ...]) -> bool:
+    """Whether ``path`` is a plain table (see ``_plain``) under ``header``
+    that is ASCII after an optional BOM and holds no ``_ASCII_SPACE`` byte.
+    Reads the file a block at a time, up to its first block that is not."""
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        first = next(blocks, b"").removeprefix(_BOM)
+        if first.partition(b"\n")[0].removesuffix(b"\r") != ",".join(header).encode():
+            return False
+        return all(
+            block.isascii()
+            and not any(c in block for c in _ASCII_SPACE)
+            and _plain(block, len(header))
+            for block in chain([first], blocks)
+        )
+
+
+def _byte_blocks(path, width: int) -> Iterator[_Table]:
+    """The data rows of ``path``, a table that ``_byte_table`` accepts, a
+    block of whole lines at a time: data row i is on line i + 2."""
+    line = 2
+    with open(path, "rb") as fh:
+        for number, block in enumerate(_line_blocks(fh)):
+            if not number:  # drop the BOM and the header
+                block = block.removeprefix(_BOM).partition(b"\n")[2]
+            if not block:
+                continue
+            buf = np.zeros(len(block) + _PAD, np.uint8)
+            buf[: len(block)] = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+            if not block.endswith(b"\n"):
+                ends = np.append(ends, len(block))
+            starts = np.zeros_like(ends)
+            starts[1:] = ends[:-1] + 1
+            lengths = ends - starts - (buf[ends - 1] == ord("\r"))  # CRLF ends
+            rows = len(ends) // width
+            columns = [_Fields(buf, starts[j::width].copy(), lengths[j::width].copy())
+                       for j in range(width)]
+            yield _Table(path, columns, range(line, line + rows), None)
+            line += rows
 
 
 @dataclass(frozen=True)
@@ -346,14 +515,15 @@ class _Table:
     and the reader's error after the last row it read, if any."""
 
     path: object
-    columns: list[list[str]]
+    columns: list[_Fields]
     lines: Sequence[int]
     error: IngestError | None
 
     @classmethod
     def block(cls, path, fields: list[str], width: int, lines: Sequence[int]) -> _Table:
         """The rows of ``fields``, ``width`` to a row, as a table without error."""
-        return cls(path, [fields[j::width] for j in range(width)], lines, None)
+        columns = [_Fields.of(fields[j::width]) for j in range(width)]
+        return cls(path, columns, lines, None)
 
     def at(self, row) -> str:
         return f"{self.path}: line {self.lines[row]}: "
@@ -374,19 +544,24 @@ class _Table:
 
 def _blocks(path, header: tuple[str, ...]) -> Iterator[_Table]:
     """The nonblank data rows of ``path``, in file order, a block of about
-    ``_BLOCK`` characters at a time; then the reader's error, if any.
+    ``_BLOCK`` bytes at a time; then the reader's error, if any.
 
-    The file is read and decoded once, when the first block is asked for.
-    A plain table is split a block of whole lines at a time; its data row
-    i is on line i + 2. Any other file is read by ``_csv_rows``, whose rows
-    are grouped into blocks of about the same size; the rows before its
-    first failure are yielded before the failure is raised.
+    Nothing is read before the first block is asked for. A table that
+    ``_byte_table`` accepts is split as bytes by ``_byte_blocks``. Any
+    other file is read and decoded once: a plain table is split a block
+    of whole lines at a time, its data row i on line i + 2, and the rest
+    is read by ``_csv_rows``, whose rows are grouped into blocks of about
+    the same size; the rows before its first failure are yielded before
+    the failure is raised.
 
     Raises:
         IngestError: wrong header, wrong field count, a row the csv module
             rejects, or a byte that is not UTF-8.
     """
     width = len(header)
+    if _byte_table(path, header):
+        yield from _byte_blocks(path, width)
+        return
     text, plain, bad = _read_text(path, width)
     body = text.find("\n") + 1 or len(text)
     if plain and _plain_fields(text[:body], width) == list(header):
@@ -418,35 +593,52 @@ def _blocks(path, header: tuple[str, ...]) -> Iterator[_Table]:
 def _csv_columns(path, header: tuple[str, ...]) -> _Table:
     """The nonblank data rows of ``path`` as columns, in file order: the
     blocks of ``_blocks`` joined, and the error it raises after them."""
-    columns, lines, error = [[] for _ in header], array("q"), None
+    parts, lines, error = [], [], None
     try:
         for block in _blocks(path, header):
-            for column, part in zip(columns, block.columns):
-                column += part
-            lines.extend(block.lines)
+            parts.append(block.columns)
+            lines.append(block.lines)
     except IngestError as exc:
         error = exc
+    columns = [_Fields.join([part[j] for part in parts]) for j in range(len(header))]
+    # The blocks of a plain table number its lines on from 2.
+    if all(isinstance(part, range) for part in lines):
+        lines = range(2, 2 + sum(map(len, lines)))
+    else:
+        lines = array("q", chain.from_iterable(lines))
     return _Table(path, columns, lines, error)
 
 
-def _blank(column) -> np.ndarray | bool:
+def _blank(column: _Fields) -> np.ndarray | bool:
     """Mask of the empty fields of ``column``; False when it has none."""
-    return "" in column and np.fromiter(map(operator.not_, column), bool, len(column))
+    return not column.lengths.all() and column.lengths == 0
 
 
-def _repeats(column) -> np.ndarray | bool:
-    """Mask of the fields an earlier row already holds; False when none does."""
-    if len(set(column)) == len(column):
-        return False
-    seen: set[str] = set()  # seen.add returns None, which reads False
-    return np.array([f in seen or seen.add(f) for f in column], dtype=bool)
+def _numbers(
+    convert, column: _Fields, dtype, blank: str = ""
+) -> tuple[np.ndarray, np.ndarray | bool]:
+    """``convert`` of each field of ``column`` (``blank`` in place of an
+    empty one) as a ``dtype`` array, and the mask of the fields it rejects
+    (False when none).
 
-
-def _numbers(convert, strings, dtype) -> tuple[np.ndarray, np.ndarray | bool]:
-    """``convert`` of each string as a ``dtype`` array, and the mask of the
-    strings it rejects (False when none). Only when converting all at once
-    fails are they taken one by one: a rejected string reads 0, and an
-    integer beyond int64 is clipped to it, so range checks still hold."""
+    Fields read as bytes, none longer than ``_PAD``, are cast all at once
+    from bytes, which numpy does as ``int`` and ``float`` do for ASCII.
+    Only when that fails, or cannot be tried, are they taken as strings,
+    first all at once and then one by one: a rejected string reads 0, and
+    an integer beyond int64 is clipped to it, so range checks still hold.
+    """
+    if column.texts is None and column.lengths.max(initial=0) <= _PAD:
+        # Each field as bytes, NUL-padded to whole words, which numpy ignores.
+        width = max(int(column.lengths.max(initial=0)), len(blank), 1)
+        count = -(-width // 8)
+        cells = np.ascontiguousarray(column.words(count).T).view(f"S{8 * count}")[:, 0]
+        if blank:
+            cells[column.lengths == 0] = blank.encode()
+        try:
+            return cells.astype(dtype), False
+        except (ValueError, OverflowError):
+            pass
+    strings = [s or blank for s in column.strings()]
     try:
         return np.fromiter(map(convert, strings), dtype, len(strings)), False
     except (ValueError, OverflowError):
@@ -463,6 +655,82 @@ def _numbers(convert, strings, dtype) -> tuple[np.ndarray, np.ndarray | bool]:
     return values, rejected
 
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _hash(keys: np.ndarray, bits: int) -> np.ndarray:
+    """First slot, among ``2**bits``, of each column of the uint64 array
+    ``keys``: the top ``bits`` bits of a multiply-xor hash of its words."""
+    h = keys[0] * _MIX
+    for word in keys[1:]:
+        h ^= h >> 29
+        h ^= word
+        h *= _MIX
+    h ^= h >> 29
+    h *= _MIX
+    return (h >> (64 - bits)).astype(np.int64)
+
+
+class IdTable:
+    """Where each field of a column lies among a column of ids.
+
+    An id is keyed by its length and ``words`` little-endian uint64 words
+    of its UTF-8 bytes, zero past its end. The longest id fixes ``words``,
+    up to ``_WORDS``, so a field longer than every id matches none. Keys
+    are placed in an open-addressing table of more than twice as many
+    slots as ids, by linear probing from ``_hash``: every pending key
+    takes one probe step per round, and each hit is checked on the
+    length and on every word, and on the whole string if the id is
+    longer than its words. ``first[i]`` is the index of the first id
+    equal to id i, so id i is a duplicate when it is not i.
+    """
+
+    def __init__(self, ids: _Fields) -> None:
+        n = len(ids)
+        self.words = min(max(1, -(-int(ids.lengths.max(initial=0)) // 8)), _WORDS)
+        self.bits = max(1, (2 * n).bit_length())
+        longer = np.flatnonzero(ids.lengths > 8 * self.words)
+        self.long = {int(i): ids[i] for i in longer}
+        # Id n is the key of an empty slot, which no key equals.
+        self.keys = np.concatenate(
+            [ids.words(self.words), np.zeros((self.words, 1), np.uint64)], axis=1
+        )
+        self.lengths = np.append(ids.lengths, -1)
+        self.slots = np.full(1 << self.bits, n, np.int64)
+        self.first = self._probe(ids, claim=True)
+
+    def find(self, fields: _Fields) -> np.ndarray:
+        """Index of the id equal to each field of ``fields``; -1 for none."""
+        return self._probe(fields, claim=False)
+
+    def _probe(self, fields: _Fields, claim: bool) -> np.ndarray:
+        """Probe for each field: the index of the id it equals, or -1 once an
+        empty slot is reached. With ``claim``, the fields are the ids: each
+        empty slot reached goes to the lowest id reaching it, so that equal
+        ids, which probe together, all find the first of them."""
+        empty = len(self.lengths) - 1
+        keys, lengths = fields.words(self.words), fields.lengths
+        found = np.full(len(fields), -1, np.int64)
+        pending = np.arange(len(fields))
+        slot = _hash(keys, self.bits)
+        while pending.size:
+            if claim:
+                vacant = self.slots[slot] == empty
+                np.minimum.at(self.slots, slot[vacant], pending[vacant])
+            held = self.slots[slot]
+            hit = self.lengths[held] == lengths
+            for ours, key in zip(self.keys, keys):
+                hit &= ours[held] == key
+            if self.long:
+                for i in np.flatnonzero(hit & (lengths > 8 * self.words)):
+                    hit[i] = self.long[int(held[i])] == fields[pending[i]]
+            found[pending] = np.where(hit, held, -1)
+            rest = np.flatnonzero(~hit & (held != empty))
+            pending, keys, lengths = pending[rest], keys[:, rest], lengths[rest]
+            slot = (slot[rest] + 1) & (len(self.slots) - 1)
+        return found
+
+
 def parse_nodes(path) -> tuple[NodeTable, list[str]]:
     """Read the publication table.
 
@@ -477,15 +745,17 @@ def parse_nodes(path) -> tuple[NodeTable, list[str]]:
     """
     table = _csv_columns(path, NODE_HEADER)
     ids, year_s, month_s = table.columns
+    id_table = IdTable(ids)
+    first = id_table.first
     years, year_bad = _numbers(int, year_s, np.int64)
-    months, month_bad = _numbers(int, [s or "1" for s in month_s], np.int64)
+    months, month_bad = _numbers(int, month_s, np.int64, blank="1")
     at, lines = table.at, table.lines
     table.check([
         (_blank(ids), lambda i: f"{at(i)}empty node id"),
         (
-            _repeats(ids),
+            first != np.arange(len(ids)),
             lambda i: f"{at(i)}duplicate node id {ids[i]} "
-            f"(first on line {lines[ids.index(ids[i])]})",
+            f"(first on line {lines[first[i]]})",
         ),
         (year_bad, lambda i: f"{at(i)}year {year_s[i]!r} is not an integer"),
         (
@@ -498,11 +768,13 @@ def parse_nodes(path) -> tuple[NodeTable, list[str]]:
             lambda i: f"{at(i)}month {int(month_s[i])} outside 1..12",
         ),
     ])
+    nodes = NodeTable(ids=tuple(ids.strings()), time_keys=years * 12 + months - 1)
+    nodes.__dict__["id_table"] = id_table  # the cached property, already built
     warnings = [
-        f"node {ids[i]}: blank month defaults to 1 (line {lines[i]})"
+        f"node {nodes.ids[i]}: blank month defaults to 1 (line {lines[i]})"
         for i in np.flatnonzero(_blank(month_s))
     ]
-    return NodeTable(ids=tuple(ids), time_keys=years * 12 + months - 1), warnings
+    return nodes, warnings
 
 
 def parse_edges(path) -> Iterator[EdgeTable]:
@@ -532,20 +804,20 @@ def _edge_block(block: _Table) -> EdgeTable:
     return EdgeTable(citing=citing, cited=cited, lines=block.lines)
 
 
-def _indices(id_index: dict[str, int], column) -> np.ndarray:
-    """Index of each id of ``column`` in ``id_index``; -1 for an unknown id."""
-    return np.fromiter(map(id_index.get, column, repeat(-1)), np.int64, len(column))
-
-
-def _resolve(id_index: dict[str, int], edges: EdgeTable):
+def _resolve(id_table: IdTable, edges: EdgeTable):
     """The index arrays of the citing and cited ids of ``edges``, and the
     (row, role, id, line) of its first row that names an unknown id, or None."""
-    citing, cited = _indices(id_index, edges.citing), _indices(id_index, edges.cited)
+    columns = [c if isinstance(c, _Fields) else _Fields.of(c)
+               for c in (edges.citing, edges.cited)]
+    # One lookup of both columns: each round of probing costs the same
+    # few numpy calls, however few ids are left.
+    found = id_table.find(_Fields.join(columns))
+    citing, cited = found[: len(columns[0])], found[len(columns[0]) :]
     unknown = (citing < 0) | (cited < 0)
     if not unknown.any():
         return citing, cited, None
     row = int(np.argmax(unknown))
-    role, ids = ("citing", edges.citing) if citing[row] < 0 else ("cited", edges.cited)
+    role, ids = ("citing", columns[0]) if citing[row] < 0 else ("cited", columns[1])
     return citing, cited, (row, role, ids[row], edges.lines[row])
 
 
@@ -556,19 +828,20 @@ def build_graph(
 
     ``edges`` is a sequence of blocks, such as ``parse_edges`` yields or
     ``[EdgeTable.from_pairs(...)]``. Each block is resolved to index arrays
-    as it comes; only those arrays and the first unknown id are kept.
+    in ``nodes.id_table`` as it comes; only those arrays and the first
+    unknown id are kept.
 
     Raises:
         IngestError: what reading ``edges`` raises; then zero nodes.
         UnknownIdError: an edge names an id missing from ``nodes``.
     """
     ids = tuple(nodes.ids)
-    id_index = dict(zip(ids, range(len(ids))))
     # An empty array first, so that a table of no blocks concatenates too.
     citing, cited = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     unknown = None
     # map holds no block once resolved, so each is freed before the next is read.
-    for block_citing, block_cited, first in map(partial(_resolve, id_index), edges):
+    resolved = map(partial(_resolve, nodes.id_table), edges)
+    for block_citing, block_cited, first in resolved:
         if first is not None and unknown is None:
             row, role, node_id, line = first
             unknown = UnknownIdError(sum(map(len, citing)) + row, role, node_id, line)
@@ -580,16 +853,16 @@ def build_graph(
         raise unknown
     citing = np.concatenate(citing)
     cited = np.concatenate(cited)
-    return graph_from_indices(ids, nodes.time_keys, citing, cited, id_index)
+    return graph_from_indices(ids, nodes.time_keys, citing, cited, nodes.id_table)
 
 
 def graph_from_indices(
-    ids: tuple[str, ...], time_keys, citing, cited, id_index: dict[str, int]
+    ids: tuple[str, ...], time_keys, citing, cited, id_table: IdTable | None = None
 ) -> tuple[CitationGraph, IngestReport]:
     """Assemble a CitationGraph, dropping synchronous and duplicate citations.
 
     Edge e cites ``ids[cited[e]]`` from ``ids[citing[e]]``; ``ids`` is
-    nonempty and ``id_index`` maps each id to its position. Synchronous
+    nonempty, and ``id_table``, if given, is its ``IdTable``. Synchronous
     edges, whose citing publication is not newer than the cited one
     (self-loops among them), are discarded; duplicates are collapsed.
     ``citing`` and ``cited`` are int64 arrays, left unchanged.
@@ -627,10 +900,11 @@ def graph_from_indices(
         time_keys=tkey,
         indptr=indptr,
         indices=indices,
-        id_index=id_index,
         n=n,
         m=m,
     )
+    if id_table is not None:
+        graph.__dict__["id_table"] = id_table  # the cached property, already built
     report = IngestReport(
         nodes_read=n,
         edges_read=edges_read,
@@ -673,7 +947,11 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     ids, labels, weight_s = table.columns
     weight, not_number = _numbers(float, weight_s, np.float64)
     positive = (weight > 0) & np.isfinite(weight)
-    node = _indices(graph.id_index, ids)
+    node = graph.id_table.find(ids)
+    # Each row's label as its place among the labels in first-appearance order.
+    first = IdTable(labels).first
+    new = first == np.arange(len(labels))
+    col = (np.cumsum(new) - 1)[first]
     at = table.at
     rules = [
         (_blank(ids) | _blank(labels), lambda i: f"{at(i)}empty id or discipline"),
@@ -685,12 +963,14 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
         # A publication without a row goes to the synthetic discipline,
         # which comes last unless the file names it.
         missing = np.flatnonzero(np.bincount(node, minlength=graph.n) == 0)
-        cell_labels = labels + [UNCLASSIFIED] * missing.size
-        label_pos = {label: j for j, label in enumerate(dict.fromkeys(cell_labels))}
-        col = np.fromiter(map(label_pos.__getitem__, cell_labels), np.int64)
+        names, cell_col = [labels[i] for i in np.flatnonzero(new)], col
+        if missing.size:
+            names = list(dict.fromkeys([*names, UNCLASSIFIED]))
+            unclassified = np.full(missing.size, names.index(UNCLASSIFIED))
+            cell_col = np.concatenate([col, unclassified])
         try:
             membership, total = membership_from_indices(
-                graph.n, tuple(label_pos), np.concatenate([node, missing]), col,
+                graph.n, tuple(names), np.concatenate([node, missing]), cell_col,
                 np.concatenate([weight, np.ones(missing.size)]),
             )
         except OverflowError:
@@ -710,7 +990,7 @@ def parse_membership(path, graph: CitationGraph) -> tuple[Membership, list[str]]
     # From the first row another rule rejects on, no overflow is reported.
     end = min((np.argmax(m) for m, _ in rules if np.any(m)), default=len(ids))
     rules.append((
-        _overflows(ids, labels, weight, positive[:end]),
+        _overflows(node, col, weight, positive[:end]),
         lambda i: f"{at(i)}weights for {ids[i]} sum beyond the float range",
     ))
     table.check(rules)
@@ -758,15 +1038,16 @@ def _weight_sum(values) -> float:
         return math.inf
 
 
-def _overflows(ids, labels, weight, positive) -> np.ndarray:
-    """Mask of the rows from which the weights of their publication, of
-    the rows ``positive`` marks, added up per discipline in file order as
-    in ``parse_membership``, no longer sum exactly to a finite number."""
-    cells: dict[str, dict[str, float]] = {}
-    mask = np.zeros(len(ids), dtype=bool)
-    values = weight.tolist()
+def _overflows(node, col, weight, positive) -> np.ndarray:
+    """Mask of the rows from which the weights of their publication
+    ``node``, of the rows ``positive`` marks, added up per discipline
+    ``col`` in file order as in ``parse_membership``, no longer sum
+    exactly to a finite number."""
+    cells: dict[int, dict[int, float]] = {}
+    mask = np.zeros(len(node), dtype=bool)
+    node, col, values = node.tolist(), col.tolist(), weight.tolist()
     for i in np.flatnonzero(positive).tolist():
-        cell = cells.setdefault(ids[i], {})
-        cell[labels[i]] = cell.get(labels[i], 0.0) + values[i]
+        cell = cells.setdefault(node[i], {})
+        cell[col[i]] = cell.get(col[i], 0.0) + values[i]
         mask[i] = not math.isfinite(_weight_sum(cell.values()))
     return mask

@@ -161,6 +161,12 @@ def propagate(operator, matrix):
     return _product(w, matrix)
 
 
+def _check_operator(operator: NormalizedCitationOperator) -> None:
+    """Check the operator's arrays as ``_checked`` does: once per entry
+    point, so that ``_powers`` runs the kernels on its rows unchecked."""
+    _checked((operator.indptr, operator.indices, operator.data, operator.n))
+
+
 def _membership_csr(membership: Membership, n: int):
     """``(indptr, indices, data, k)`` of a Membership of ``n`` publications."""
     m = membership
@@ -286,13 +292,12 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
 
     The edges are one copy of the operator's, relabeled to the height
     order, filtered in place at each order to those the order reads.
+    The operator must have passed ``_check_operator``.
     """
     # at_least[t]: how many publications have height t or more.
     at_least = np.cumsum(np.bincount(operator.heights)[::-1])[::-1]
-    indptr, indices, data, n = _checked(
-        (operator.indptr, operator.indices, operator.data, operator.n)
-    )
-    step = _take_rows((indptr, indices, data, n), order)
+    step = _take_rows((operator.indptr, operator.indices, operator.data, operator.n),
+                      order)
     _relabel(step[1], position)
     group = max(1, _GROUP_BYTES // (block.itemsize * max(block.shape[1], 1)))
     yield block
@@ -309,7 +314,7 @@ def _powers(operator: NormalizedCitationOperator, order, position, block, limit:
             lo, hi = step_indptr[a], step_indptr[b]
             rows_ab = (step_indptr[a : b + 1] - lo, step_indices[lo:hi],
                        step_data[lo:hi], columns)
-            block[a:b] = propagate(rows_ab, block[:columns])
+            block[a:b] = _product(rows_ab, block[:columns])
         if not block[:rows].any():
             return
         yield block[:rows]
@@ -366,6 +371,7 @@ def dependence_stack(
     ``max_order``; AUTO takes every path, which gives the total
     dependence.
     """
+    _check_operator(operator)
     q = _membership_csr(membership, operator.n)
     limit = _order_limit(operator, max_order)
     order, position = _height_order(operator)
@@ -451,6 +457,7 @@ def flow_decomposition(
     runs to the longest path length; a numeric value truncates earlier
     (order-limited analyses).
     """
+    _check_operator(operator)
     q = _membership_csr(membership, operator.n)
     k = q[3]
     limit = _order_limit(operator, max_order)

@@ -334,7 +334,6 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
         PubTime(2000, 1).key() + buckets,
         chosen // spec.n,
         chosen % spec.n,
-        dict(zip(ids, range(spec.n))),
     )
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))

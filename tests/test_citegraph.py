@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeflow import (
@@ -529,7 +529,6 @@ class TestLongestPath:
             time_keys=np.zeros(3, dtype=np.int64),
             indptr=np.array([0, 1, 2, 3]),
             indices=np.array([1, 2, 1]),
-            id_index={"a": 0, "b": 1, "c": 2},
             n=3,
             m=3,
         )
@@ -1078,3 +1077,150 @@ class TestRandomDagInvariants:
         assert np.allclose(rows, 1.0, atol=1e-9)
         assert membership.data.min() >= 0
         assert as_scipy(membership).has_canonical_format  # sorted, no repeats
+
+
+def _colliding(keys, bits):
+    """A hash that sends every key to slot 0, so each probe round runs."""
+    return np.zeros(keys.shape[1], dtype=np.int64)
+
+
+def _byte_column(path, header):
+    """The first column of the table ``path``, which must be read as bytes."""
+    with mock.patch.object(citegraph, "_read_text", side_effect=AssertionError):
+        return citegraph._csv_columns(path, header).columns[0]
+
+
+class TestIdTable:
+    """The id table finds what a dict of the ids finds: the first row of each
+    id, and -1 for a field that no id equals."""
+
+    # Ids of 1 to 24 bytes (one to three words), many of them prefixes of
+    # others; queries also blank, or longer than every id.
+    _ids = st.lists(st.text(alphabet="p01", min_size=1, max_size=24), max_size=30)
+    _queries = st.lists(st.text(alphabet="p01", max_size=30), max_size=30)
+
+    @staticmethod
+    def _oracle(ids) -> dict[str, int]:
+        first: dict[str, int] = {}
+        for i, node_id in enumerate(ids):
+            first.setdefault(node_id, i)
+        return first
+
+    # Keys of one word at most, or of up to _WORDS: ids longer than the
+    # words of their key are compared as whole strings on a hit.
+    _words = st.sampled_from([1, citegraph._WORDS])
+
+    @given(ids=_ids, queries=_queries, collide=st.booleans(), words=_words)
+    @example(ids=["p0000000", "p1", "p10", "p1"], queries=["p00000001", "p1", ""],
+             collide=False, words=citegraph._WORDS)
+    @example(ids=["p00000000", "p00000001", "p00000000"],
+             queries=["p00000001", "p00000002", "p0000000"], collide=True, words=1)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_a_dict_as_bytes(
+        self, tmp_path_factory, ids, queries, collide, words
+    ):
+        folder = tmp_path_factory.mktemp("ids")
+        nodes, edges = folder / "nodes.csv", folder / "edges.csv"
+        nodes.write_text("id,year,month\n" + "".join(f"{i},2000,1\n" for i in ids))
+        edges.write_text("citing,cited\n" + "".join(f"{q},{q}\n" for q in queries))
+        hash_ = _colliding if collide else citegraph._hash
+        with (
+            mock.patch.object(citegraph, "_hash", hash_),
+            mock.patch.object(citegraph, "_WORDS", words),
+        ):
+            table = citegraph.IdTable(_byte_column(nodes, citegraph.NODE_HEADER))
+            found = table.find(_byte_column(edges, citegraph.EDGE_HEADER))
+        first = self._oracle(ids)
+        assert table.first.tolist() == [first[i] for i in ids]
+        assert found.tolist() == [first.get(q, -1) for q in queries]
+
+    @given(
+        ids=st.lists(st.text(max_size=12), max_size=20),
+        queries=st.lists(st.text(max_size=12), max_size=20),
+        collide=st.booleans(),
+        words=_words,
+    )
+    @example(ids=["a", "a\x00", "", "é"], queries=["\x00", "a\x00\x00"], collide=True,
+             words=citegraph._WORDS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_a_dict_as_strings(self, ids, queries, collide, words):
+        """Any str, NUL and non-ASCII characters among them: "a" and
+        "a\\x00" have the same words and differ only in length."""
+        hash_ = _colliding if collide else citegraph._hash
+        with (
+            mock.patch.object(citegraph, "_hash", hash_),
+            mock.patch.object(citegraph, "_WORDS", words),
+        ):
+            table = citegraph.IdTable(citegraph._Fields.of(ids))
+            found = table.find(citegraph._Fields.of([*queries, *ids]))
+        first = self._oracle(ids)
+        assert table.first.tolist() == [first[i] for i in ids]
+        assert found.tolist() == [first.get(q, -1) for q in [*queries, *ids]]
+
+
+def _graph_outcome(path):
+    """The arrays of the graph that the edge table ``path`` builds over FIX7."""
+    graph, _ = build_graph(NodeTable.from_pairs(FIX7_NODES), parse_edges(path))
+    return graph.indptr.tolist(), graph.indices.tolist()
+
+
+def _membership_outcome(path):
+    membership, warnings = parse_membership(path, _fix7_graph())
+    arrays = (membership.indptr, membership.indices, membership.data)
+    return membership.labels, [a.tolist() for a in arrays], warnings
+
+
+_FULL_READERS = {
+    "nodes": lambda path: (lambda n, w: (n.ids, n.time_keys.tolist(), w))(
+        *parse_nodes(path)
+    ),
+    "edges": lambda path: _graph_outcome(path),
+    "membership": _membership_outcome,
+}
+
+
+class TestByteReaderMatchesTextReader:
+    """A table read as bytes, or sent back to the text reader, or whose
+    numbers the byte casts hand back to ``int`` and ``float``, reads as the
+    text reader reads it: the same values, warnings and messages."""
+
+    @pytest.mark.parametrize(
+        ("file", "text", "as_bytes"),
+        [
+            ("nodes", "\ufeffid,year,month\n1,2016,5\n2,2016,\n", True),
+            ("edges", "citing,cited\r\n1,2\r\n2,4\r\n", True),
+            ("edges", '"citing","cited"\n"1","2"\n', False),
+            ("nodes", "id,year,month\n1,2016,5\né,2016,1\n", False),
+            ("nodes", "id,year,month\n1,2016,5\n2 ,2016,1\n2,2016,1\n", False),
+            ("nodes", "id,year,month\n1,2016,5\n\x1c2,2016,1\n2,2016,1\n", False),
+            ("nodes", "id,year,month\n1,1_999,5\n2,+2016,0012\n", True),
+            ("nodes", "id,year,month\n1,2016,5\n2,20x6,1\n", True),
+            ("nodes", "id,year,month\n1,99999999999999999999,5\n", True),
+            ("nodes", "id,year,month\n1,2016,5\n2,2016,1\n1,2015,1\n", True),
+            ("membership", "id,discipline,weight\n1,X,1\n2,Y,nan\n", True),
+            ("membership", "id,discipline,weight\n1,X,1e308\n1,Y,1e308\n", True),
+            ("membership", "id,discipline,weight\n1,X,0.25\n1,Y,inf\n", True),
+            ("membership", "id,discipline,weight\n1,Y,.5\n1,X,5.\n3,Y,1\n", True),
+            ("edges", "citing,cited\n1,2\n2,123456789\n", True),
+            ("edges", "citing,cited\n1,2\n1,\n", True),
+            ("membership", f"id,discipline,weight\n1,X,0.{'0' * 70}1\n", True),
+            ("nodes", f"id,year,month\n{'x' * 70},2016,1\n{'x' * 70},2015,1\n", True),
+        ],
+        ids=[
+            "bom", "crlf", "quoted", "non-ascii-id", "id-with-space", "id-with-x1c",
+            "year-with-underscore-and-signs", "year-not-an-integer",
+            "year-beyond-int64", "duplicate-id", "weight-nan", "weights-overflow",
+            "weight-inf", "weights-without-leading-or-trailing-digit",
+            "edge-id-longer-than-every-node-id", "missing-cited-id",
+            "weight-longer-than-a-cast-takes", "duplicate-id-longer-than-a-key",
+        ],
+    )
+    def test_same_outcome(self, tmp_path, file, text, as_bytes):
+        path = tmp_path / f"{file}.csv"
+        path.write_bytes(text.encode())
+        header = _TEXTS[file].partition("\n")[0].split(",")
+        assert citegraph._byte_table(path, tuple(header)) is as_bytes
+        read = _FULL_READERS[file]
+        with mock.patch.object(citegraph, "_byte_table", return_value=False):
+            expected = _outcome(read, path)
+        assert _outcome(read, path) == expected

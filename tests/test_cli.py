@@ -345,6 +345,18 @@ class TestCompute:
             assert re.search(r", peak RSS [0-9]+\.[0-9] MiB$", line)
         assert not any("peak RSS" in p.read_text() for p in out.iterdir())
 
+    def test_logs_ingest_seconds_before_the_graph(self, fix7_files, tmp_path, capsys):
+        assert _compute(fix7_files, tmp_path / "out") == 0
+        lines = capsys.readouterr().err.splitlines()
+        stages = [line.split("] ")[1].split(":")[0] for line in lines]
+        assert stages.index("ingest") + 1 == stages.index("graph")
+        ingest = lines[stages.index("ingest")]
+        number = r"[0-9]+\.[0-9]{3} s"
+        assert re.fullmatch(
+            rf"\[citeflow\] ingest: nodes {number}, edges {number}, membership {number}",
+            ingest,
+        )
+
     def test_logs_zero_weight_positive_edges(self, fix7_files, tmp_path, capsys):
         # FIX7's only positive edge, Y-Z, is the largest pair value, but
         # that value is negative, so its weight is floored to 0.

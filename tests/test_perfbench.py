@@ -23,5 +23,5 @@ def test_trace_spans_compute_on_fix7(fix7_files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
-    assert "dependence.propagate" in names
+    assert "dependence.flow_decomposition" in names
     assert "cli.cmd_compute" in names

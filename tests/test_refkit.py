@@ -235,7 +235,7 @@ class TestRandomDagOracle:
         assert membership.indices.tobytes() == indices.tobytes()
         assert membership.data.tobytes() == values.tobytes()
         spy.assert_called_once()
-        ids, time_keys, citing, cited, _ = spy.call_args.args
+        ids, time_keys, citing, cited = spy.call_args.args
         spell = ids.__getitem__
         oracle, report = build_graph(
             NodeTable(ids, time_keys),
