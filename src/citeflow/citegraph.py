@@ -12,15 +12,16 @@ arrays, ``graph_from_indices`` and ``membership_from_indices``, which
 the parsers and the synthetic generator share.
 
 Each table is split into columns, a block of about 256 KiB of whole
-lines at a time, with the line of each row. A plain table (no quotes or
-NUL, carriage returns only in CRLF line ends, the same number of fields
-on every line) that is ASCII after an optional BOM and holds no byte
-that ``str.strip`` removes is read as bytes and never decoded: it is
-streamed from the file twice, once to check it and once to split it,
-and the fields of a block are the spans between its commas and line
-ends, with no ``str`` per field. Any other file is read and decoded
-once; a plain one is split with ``str.split``, and the csv module reads
-the rest, whose rows are grouped into blocks of the same kind.
+lines at a time, with the line of each row. There are two readers. A
+plain table (no quotes or NUL, carriage returns only in CRLF line ends,
+the same number of fields on every line) that is UTF-8 after an
+optional BOM and holds no character beyond ASCII that ``str.strip``
+removes is read as bytes: it is streamed from the file twice, once to
+check it and once to split it, and the fields of a block are the spans
+between its commas and line ends, less the ASCII bytes at either end
+that ``str.strip`` removes, with no ``str`` per field. The csv module
+reads any other file, decoded whole, and its rows are grouped into
+blocks of the same kind.
 
 Ids resolve through one ``IdTable``, an open-addressing hash table of
 the node ids keyed by their UTF-8 bytes, which also finds duplicate ids
@@ -40,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -259,10 +261,15 @@ class Membership:
         return np.bincount(self.indices, weights=self.data, minlength=self.k)
 
 
-# Bytes that the plain-table reader leaves to the csv module, and the
-# ASCII characters that str.strip removes (\x1c-\x1f among them).
+# Bytes that the byte reader leaves to the csv module, and the ASCII
+# characters that str.strip removes (\x1c-\x1f among them), which it cuts
+# from the ends of each field.
 _CSV_ONLY = (b'"', b"\x00")
 _ASCII_SPACE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_IS_SPACE = np.isin(np.arange(256), np.frombuffer(_ASCII_SPACE, np.uint8))
+# The characters beyond ASCII that str.strip removes, which only the csv
+# module reads.
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 _BOM = b"\xef\xbb\xbf"
 # About how many bytes of whole lines are checked, split or looked up at a
 # time, so that the fields of a whole file are never alive at once.
@@ -274,16 +281,6 @@ _PAD = 64
 _WORDS = _PAD // 8
 # _MASKS[b] keeps the first b bytes of a little-endian uint64 word.
 _MASKS = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
-
-
-def _spans(text, newline, start: int = 0):
-    """(start, end) of the blocks of ``text`` from ``start`` on: whole lines,
-    each ended by ``newline`` but for the last, of about ``_BLOCK`` each (a
-    longer line is a block of its own)."""
-    while start < len(text):
-        end = text.find(newline, start + _BLOCK) + 1 or len(text)
-        yield start, end
-        start = end
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -305,7 +302,9 @@ def _plain(block: bytes, width: int) -> bool:
     """Whether the whole lines ``block`` are lines of a plain table of
     ``width`` columns: no quote or NUL, carriage returns only in CRLF line
     ends, ``width`` fields of at most ``csv.field_size_limit()`` bytes on
-    every line."""
+    every line. The csv module counts that limit in characters, so a field
+    beyond ASCII that is within it in characters but not in bytes leaves
+    its file to the csv module, which reads it as well."""
     if any(c in block for c in _CSV_ONLY) or (
         b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
     ):
@@ -323,40 +322,31 @@ def _plain(block: bytes, width: int) -> bool:
     )
 
 
-def _read_text(path, width: int) -> tuple[str, bool, tuple[int, IngestError] | None]:
-    """The text of the file ``path`` without one leading BOM; whether it is
-    a plain table of ``width`` columns (see ``_plain``); and None, or the
-    line of its first byte that is not UTF-8 and the error that names it.
-    Past that byte, the text holds replacement characters.
+def _csv_rows(path, header: tuple[str, ...]):
+    """Yield (line number, stripped fields) for each nonblank data row of
+    ``path``, which is read and decoded whole, without one leading BOM.
+
+    The line number is that of the row's last physical line, so it
+    stays right after a quoted field that spans lines. Rows that end on
+    the line of the first byte that is not UTF-8, or later, are not
+    read, and its error follows the rows before them.
+
+    Raises:
+        IngestError: wrong header, wrong field count, a row the csv
+            module rejects (such as an overlong field), or a byte that is
+            not UTF-8.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
+        text, end, error = data.decode("utf-8"), math.inf, None
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        bad = lineno, IngestError(f"{path}: line {lineno}: {exc}")
-        return data.decode("utf-8", "replace").removeprefix("\ufeff"), False, bad
-    # A block of lines at a time: the masks and separator positions of the
-    # whole file would take several times its size.
-    blocks = _line_blocks(io.BytesIO(data))
-    return text, all(_plain(block, width) for block in blocks), None
-
-
-def _csv_rows(path, header: tuple[str, ...], text: str, bad):
-    """Yield (line number, stripped fields) for each nonblank data row of ``text``.
-
-    The line number is that of the row's last physical line, so it
-    stays right after a quoted field that spans lines. ``bad`` is from
-    ``_read_text``: rows that end on its line or later are not read, and
-    its error follows the rows before them.
-
-    Raises:
-        IngestError: wrong header, wrong field count, a row the csv
-            module rejects (such as an overlong field), or ``bad``'s error.
-    """
-    end, error = bad or (math.inf, None)
-    reader = csv.reader(io.StringIO(text, newline=""))
+        end = data.count(b"\n", 0, exc.start) + 1
+        error = IngestError(f"{path}: line {end}: {exc}")
+        text = data.decode("utf-8", "replace")  # replacement characters past it
+    del data
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    del text
     try:
         first = next(reader, None)
         if reader.line_num < end and [h.strip() for h in first or ()] != list(header):
@@ -379,23 +369,13 @@ def _csv_rows(path, header: tuple[str, ...], text: str, bad):
         raise error
 
 
-def _plain_fields(text: str, width: int) -> list[str]:
-    """Stripped fields of the whole lines ``text`` of a plain table of
-    ``width`` columns, in row-major order, as ``_csv_rows`` reads them."""
-    if "\r" in text:
-        text = text.replace("\r\n", ",")  # so a CRLF text, too, is copied once
-    fields = text.replace("\n", ",").split(",")
-    del fields[len(fields) // width * width :]  # the "" after a final newline
-    return list(map(str.strip, fields))
-
-
 @dataclass(frozen=True, eq=False)
 class _Fields:
     """One column of a table: field i is the UTF-8 bytes
     ``data[starts[i] : starts[i] + lengths[i]]``, followed by at least
     ``_PAD`` bytes of ``data``. ``texts`` holds the fields as str when
-    they were read as str, and is None when they were read as bytes:
-    then they are ASCII, with no newline.
+    the csv module read them, and is None when they were read as bytes:
+    then they are UTF-8, with no newline.
 
     Reads as a sequence of str; indexing decodes only the field asked for.
     """
@@ -445,8 +425,8 @@ class _Fields:
         """The fields as str."""
         if self.texts is not None:
             return self.texts
-        # Each field and the byte after it, which is made a newline: ASCII
-        # fields read as bytes hold none, so one split parts them.
+        # Each field and the byte after it, which is made a newline: fields
+        # read as bytes hold none, so one split parts them.
         sizes = self.lengths + 1
         ends = np.cumsum(sizes)
         at = np.arange(int(ends[-1]) if ends.size else 0)
@@ -469,19 +449,29 @@ class _Fields:
 
 def _byte_table(path, header: tuple[str, ...]) -> bool:
     """Whether ``path`` is a plain table (see ``_plain``) under ``header``
-    that is ASCII after an optional BOM and holds no ``_ASCII_SPACE`` byte.
-    Reads the file a block at a time, up to its first block that is not."""
+    that is UTF-8 after an optional BOM and holds no ``_WIDE_SPACE``
+    character. Reads the file a block at a time, up to its first block
+    that is not."""
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
         first = next(blocks, b"").removeprefix(_BOM)
-        if first.partition(b"\n")[0].removesuffix(b"\r") != ",".join(header).encode():
+        names = first.partition(b"\n")[0].removesuffix(b"\r").split(b",")
+        if [n.strip(_ASCII_SPACE) for n in names] != [h.encode() for h in header]:
             return False
         return all(
-            block.isascii()
-            and not any(c in block for c in _ASCII_SPACE)
-            and _plain(block, len(header))
+            _narrow(block) and _plain(block, len(header))
             for block in chain([first], blocks)
         )
+
+
+def _narrow(block: bytes) -> bool:
+    """Whether ``block`` is UTF-8 and holds no ``_WIDE_SPACE`` character."""
+    if block.isascii():
+        return True
+    try:
+        return not _WIDE_SPACE.search(block.decode("utf-8"))
+    except UnicodeDecodeError:
+        return False
 
 
 def _byte_blocks(path, width: int) -> Iterator[_Table]:
@@ -502,11 +492,28 @@ def _byte_blocks(path, width: int) -> Iterator[_Table]:
             starts = np.zeros_like(ends)
             starts[1:] = ends[:-1] + 1
             lengths = ends - starts - (buf[ends - 1] == ord("\r"))  # CRLF ends
+            if any(c in block for c in _ASCII_SPACE):
+                _strip(buf, starts, lengths)
             rows = len(ends) // width
             columns = [_Fields(buf, starts[j::width].copy(), lengths[j::width].copy())
                        for j in range(width)]
             yield _Table(path, columns, range(line, line + rows), None)
             line += rows
+
+
+def _strip(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+    """Cut the leading and then the trailing ``_ASCII_SPACE`` bytes of
+    ``buf`` from the fields at ``starts`` of ``lengths``, in place: each
+    round moves one edge of the fields that still have such a byte there."""
+    cut = np.flatnonzero(lengths)
+    while cut.size:
+        cut = cut[(lengths[cut] > 0) & _IS_SPACE[buf[starts[cut]]]]
+        starts[cut] += 1
+        lengths[cut] -= 1
+    cut = np.flatnonzero(lengths)
+    while cut.size:
+        cut = cut[(lengths[cut] > 0) & _IS_SPACE[buf[starts[cut] + lengths[cut] - 1]]]
+        lengths[cut] -= 1
 
 
 @dataclass(frozen=True)
@@ -547,12 +554,11 @@ def _blocks(path, header: tuple[str, ...]) -> Iterator[_Table]:
     ``_BLOCK`` bytes at a time; then the reader's error, if any.
 
     Nothing is read before the first block is asked for. A table that
-    ``_byte_table`` accepts is split as bytes by ``_byte_blocks``. Any
-    other file is read and decoded once: a plain table is split a block
-    of whole lines at a time, its data row i on line i + 2, and the rest
-    is read by ``_csv_rows``, whose rows are grouped into blocks of about
-    the same size; the rows before its first failure are yielded before
-    the failure is raised.
+    ``_byte_table`` accepts is split as bytes by ``_byte_blocks``, its data
+    row i on line i + 2. The csv module reads any other file, through
+    ``_csv_rows``, whose rows are grouped into blocks of about the same
+    size; the rows before its first failure are yielded before the failure
+    is raised.
 
     Raises:
         IngestError: wrong header, wrong field count, a row the csv module
@@ -562,20 +568,9 @@ def _blocks(path, header: tuple[str, ...]) -> Iterator[_Table]:
     if _byte_table(path, header):
         yield from _byte_blocks(path, width)
         return
-    text, plain, bad = _read_text(path, width)
-    body = text.find("\n") + 1 or len(text)
-    if plain and _plain_fields(text[:body], width) == list(header):
-        line = 2
-        for start, end in _spans(text, "\n", body):
-            fields = _plain_fields(text[start:end], width)
-            rows = len(fields) // width
-            yield _Table.block(path, fields, width, range(line, line + rows))
-            line += rows
-            del fields  # so the next block is split without this one
-        return
     fields, lines, size, error = [], [], 0, None
     try:
-        for lineno, row in _csv_rows(path, header, text, bad):
+        for lineno, row in _csv_rows(path, header):
             fields += row
             lines.append(lineno)
             size += sum(map(len, row))
@@ -601,7 +596,7 @@ def _csv_columns(path, header: tuple[str, ...]) -> _Table:
     except IngestError as exc:
         error = exc
     columns = [_Fields.join([part[j] for part in parts]) for j in range(len(header))]
-    # The blocks of a plain table number its lines on from 2.
+    # The byte reader's blocks number the lines of a table on from 2.
     if all(isinstance(part, range) for part in lines):
         lines = range(2, 2 + sum(map(len, lines)))
     else:
@@ -622,10 +617,11 @@ def _numbers(
     (False when none).
 
     Fields read as bytes, none longer than ``_PAD``, are cast all at once
-    from bytes, which numpy does as ``int`` and ``float`` do for ASCII.
-    Only when that fails, or cannot be tried, are they taken as strings,
-    first all at once and then one by one: a rejected string reads 0, and
-    an integer beyond int64 is clipped to it, so range checks still hold.
+    from bytes, which numpy does as ``int`` and ``float`` do for ASCII; it
+    rejects any byte beyond ASCII. Only when that fails, or cannot be
+    tried, are they taken as strings, first all at once and then one by
+    one: a rejected string reads 0, and an integer beyond int64 is clipped
+    to it, so range checks still hold.
     """
     if column.texts is None and column.lengths.max(initial=0) <= _PAD:
         # Each field as bytes, NUL-padded to whole words, which numpy ignores.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import csv
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -153,6 +154,26 @@ def _edge_rows(path):
     ]
 
 
+def _synth_edges(folder):
+    """The edge table of a synthetic graph of 100 000 edges in ``folder``."""
+    args = "synth --n 20000 --m 100000 --k 5 --seed 1 --out".split()
+    assert cli.main([*args, str(folder)]) == 0
+    return folder / "edges.csv"
+
+
+def _edge_peaks(paths) -> list[int]:
+    """The traced peak of reading each edge table of ``paths``."""
+    peaks = []
+    for path in paths:
+        tracemalloc.start()
+        try:
+            collections.deque(parse_edges(path), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestParseEdges:
     def test_basic_pair(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1,p2\n")
@@ -178,20 +199,25 @@ class TestParseEdges:
 
     def test_crlf_file_peaks_as_its_lf_form(self, tmp_path):
         """A CRLF table is split without an LF copy of the file."""
-        args = "synth --n 20000 --m 100000 --k 5 --seed 1 --out".split()
-        assert cli.main([*args, str(tmp_path)]) == 0
-        lf = tmp_path / "edges.csv"
+        lf = _synth_edges(tmp_path)
         crlf = tmp_path / "edges-crlf.csv"
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        peaks = []
-        for path in (lf, crlf):
-            tracemalloc.start()
-            try:
-                collections.deque(parse_edges(path), maxlen=0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = _edge_peaks([lf, crlf])
         assert peaks[1] <= 1.02 * peaks[0]
+
+    def test_padded_and_non_ascii_files_peak_as_their_plain_form(self, tmp_path):
+        """Fields with a space and a tab around them, or ids beyond ASCII,
+        are split as bytes too, without a decoded copy of the file."""
+        plain = _synth_edges(tmp_path)
+        data = plain.read_bytes()
+        spaced = tmp_path / "edges-spaced.csv"
+        spaced.write_bytes(re.sub(rb"[^,\n]+", rb" \g<0>\t", data))
+        utf8 = tmp_path / "edges-utf8.csv"
+        utf8.write_bytes(re.sub(rb"\bp[0-9]+\b", "é".encode() + rb"\g<0>", data))
+        for path in (spaced, utf8):
+            assert citegraph._byte_table(path, citegraph.EDGE_HEADER)
+        peaks = _edge_peaks([plain, spaced, utf8])
+        assert max(peaks[1:]) <= 1.2 * peaks[0]
 
     def test_graph_peaks_under_eight_times_the_file(self, tmp_path):
         """Resolving the ids a block at a time keeps no string per field."""
@@ -265,6 +291,14 @@ def _tables(draw):
     return header, data
 
 
+# A node table whose every field, the header's too, has a space, a tab and
+# \x1c on both sides, so that reads of 1 or 7 bytes end inside the padding.
+_PADDED = (citegraph.NODE_HEADER, "".join(
+    ",".join(f" \t\x1c{f}\x1c\t " for f in line) + "\n"
+    for line in [citegraph.NODE_HEADER, ("p1", "2016", "5"), ("é2", "", "")]
+).encode())
+
+
 class _Declined(Exception):
     """Raised in place of ``_csv_rows``: the plain-table path declined the file."""
 
@@ -302,6 +336,8 @@ class TestPlainTableReader:
     """The plain-table path declines, or reads what the csv module reads."""
 
     @given(table=_tables(), block=st.sampled_from([1, 7, citegraph._BLOCK]))
+    @example(table=_PADDED, block=1)
+    @example(table=_PADDED, block=7)
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_declines_or_matches_csv_rows(self, tmp_path_factory, table, block):
         header, data = table
@@ -318,7 +354,7 @@ class TestPlainTableReader:
             "\ufeffciting,cited\np1,p2\n",
             " citing , cited\t\n  p1,p2 \n",
             "citing,cited\n\x1cp1\x1f,\x0bp2\x0c\n",
-            "citing,cited\n\xa0é1,p\u20282\n",
+            "citing,cited\né1,pé\n",
             "citing,cited\n,\n \t, \n",
             "citing,cited\n" + "x" * _FIELD_LIMIT + ",p2\n",
             "citing,cited\r\np1,p2\r\n p2 ,p3\r\n",
@@ -330,8 +366,27 @@ class TestPlainTableReader:
     )
     def test_plain_tables_take_the_plain_path(self, tmp_path, text):
         path = _write(tmp_path, "e.csv", text)
+        assert citegraph._byte_table(path, citegraph.EDGE_HEADER)
         plain, rows = _read_both(path, citegraph.EDGE_HEADER)
         assert plain is not None and plain == rows
+
+    def test_space_beyond_ascii_takes_the_csv_path(self, tmp_path):
+        path = _write(tmp_path, "e.csv", "citing,cited\n\xa0é1\u2028,\u2028p2\xa0\n")
+        assert not citegraph._byte_table(path, citegraph.EDGE_HEADER)
+        plain, rows = _read_both(path, citegraph.EDGE_HEADER)
+        assert plain is None and rows == [(2, ["é1", "p2"])]
+        read = [(line, list(row)) for b in citegraph._blocks(path, citegraph.EDGE_HEADER)
+                for line, *row in zip(b.lines, *b.columns)]
+        assert read == rows
+
+    def test_space_beyond_ascii_is_what_str_strip_removes(self):
+        """A block is declined exactly when it holds a character beyond ASCII
+        for which ``str.isspace`` holds: every code point is tried."""
+        chars = [chr(c) for c in range(0x80, 0x110000) if not 0xD800 <= c < 0xE000]
+        spaces = [c for c in chars if c.isspace()]
+        assert not any(citegraph._narrow(f"a{c}b\n".encode()) for c in spaces)
+        others = "".join(c for c in chars if not c.isspace())
+        assert citegraph._narrow(others.encode())
 
     def test_overlong_last_field_without_newline_takes_the_csv_path(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1," + "x" * (_FIELD_LIMIT + 1))
@@ -661,8 +716,7 @@ def _membership_by_rows(rows, graph):
 
 def _rows(path, header):
     """``_csv_rows`` over the file ``path``."""
-    text, _, bad = citegraph._read_text(path, len(header))
-    return citegraph._csv_rows(path, header, text, bad)
+    return citegraph._csv_rows(path, header)
 
 
 # The row-by-row checks that once worded ingest's errors, kept as the
@@ -1086,7 +1140,7 @@ def _colliding(keys, bits):
 
 def _byte_column(path, header):
     """The first column of the table ``path``, which must be read as bytes."""
-    with mock.patch.object(citegraph, "_read_text", side_effect=AssertionError):
+    with mock.patch.object(citegraph, "_csv_rows", side_effect=AssertionError):
         return citegraph._csv_columns(path, header).columns[0]
 
 
@@ -1180,9 +1234,9 @@ _FULL_READERS = {
 
 
 class TestByteReaderMatchesTextReader:
-    """A table read as bytes, or sent back to the text reader, or whose
+    """A table read as bytes, or sent back to the csv reader, or whose
     numbers the byte casts hand back to ``int`` and ``float``, reads as the
-    text reader reads it: the same values, warnings and messages."""
+    csv reader reads it: the same values, warnings and messages."""
 
     @pytest.mark.parametrize(
         ("file", "text", "as_bytes"),
@@ -1190,9 +1244,10 @@ class TestByteReaderMatchesTextReader:
             ("nodes", "\ufeffid,year,month\n1,2016,5\n2,2016,\n", True),
             ("edges", "citing,cited\r\n1,2\r\n2,4\r\n", True),
             ("edges", '"citing","cited"\n"1","2"\n', False),
-            ("nodes", "id,year,month\n1,2016,5\né,2016,1\n", False),
-            ("nodes", "id,year,month\n1,2016,5\n2 ,2016,1\n2,2016,1\n", False),
-            ("nodes", "id,year,month\n1,2016,5\n\x1c2,2016,1\n2,2016,1\n", False),
+            ("nodes", "id,year,month\n1,2016,5\né,2016,1\n", True),
+            ("nodes", "id,year,month\n1,2016,5\n2 ,2016,1\n2,2016,1\n", True),
+            ("nodes", "id,year,month\n1,2016,5\n\x1c2,2016,1\n2,2016,1\n", True),
+            ("nodes", "id,year,month\n1,2016,5\n\xa02,2016,1\n2,2016,1\n", False),
             ("nodes", "id,year,month\n1,1_999,5\n2,+2016,0012\n", True),
             ("nodes", "id,year,month\n1,2016,5\n2,20x6,1\n", True),
             ("nodes", "id,year,month\n1,99999999999999999999,5\n", True),
@@ -1208,6 +1263,7 @@ class TestByteReaderMatchesTextReader:
         ],
         ids=[
             "bom", "crlf", "quoted", "non-ascii-id", "id-with-space", "id-with-x1c",
+            "id-with-nbsp",
             "year-with-underscore-and-signs", "year-not-an-integer",
             "year-beyond-int64", "duplicate-id", "weight-nan", "weights-overflow",
             "weight-inf", "weights-without-leading-or-trailing-digit",
