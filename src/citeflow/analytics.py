@@ -4,8 +4,10 @@ Pure functions over small k x k flow matrices: per-order flow shares,
 signed chi-squared normalization against the margin-product
 expectation, percentile-thresholded discipline networks, greedy
 modularity communities, betweenness, and quadratic-entropy
-interdisciplinarity. Sums go through math.fsum so every result is
-exactly invariant under a relabeling of the disciplines.
+interdisciplinarity. Every sum is exactly rounded, as ``math.fsum``
+rounds it, so every result is exactly invariant under a relabeling of
+the disciplines. ``_row_fsums`` gives those sums over whole arrays,
+without a Python float per term.
 """
 
 from __future__ import annotations
@@ -19,15 +21,122 @@ import numpy as np
 ENTRYWISE_L1 = "l1"
 FROBENIUS = "frobenius"
 
+# Most bytes of terms one ``_row_fsums`` call sums: the analytics build
+# their terms a batch of rows at a time, so their scratch stays small next
+# to the flows (the kernel holds about 2.5 times the batch at its peak).
+_BATCH_BYTES = 1 << 18
+
+_DBL_MAX = float(np.finfo(np.float64).max)
+
+
+def _row_fsums(terms) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, bit for bit.
+
+    Each row is reduced pairwise by TwoSum (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", 2005): ``s`` holds the rounded sums
+    and ``c`` the sum, in floating point, of their exact rounding errors
+    E. A last TwoSum splits ``s + c`` into the rounded ``r`` and an exact
+    remainder, so the exact row sum is ``r + remainder + (C - c)``, where
+    C is the exact sum of the errors.
+
+    Bound on ``C - c`` over a tree of depth D (u = 2**-53): an error made
+    at level l is at most u times its node's sum, and the node sums of one
+    level add up to at most (1 + u)**l * sum|t|. It then passes through at
+    most 2(D - l + 1) rounded additions of ``c``, each off by at most u
+    times its partial sum. Summed over the levels, |C - c| <= D(D + 1) *
+    u**2 * sum|t| * (1 + u)**(3D). ``D**2 * 2**-104 * sum|t|`` is at
+    least twice that, which leaves room for the rounding of the computed
+    sum|t| and of the bound's own product, whose absolute error below
+    2**-1022 is at most 2**-1075. Additions make no underflow error, and
+    ``C - c`` is a multiple of 2**-1074, so it is zero wherever the true
+    bound is below 2**-1074; at or above it, the rounded bound covers it.
+
+    ``r`` is ``math.fsum``'s result when remainder plus bound stays
+    strictly within half the gap to the neighbouring double on either
+    side, so neither ties nor a near miss are ever accepted. Any other
+    row (not finite, overflowed, at the largest double, or too close to
+    call) is summed by ``math.fsum`` itself, which raises or returns
+    inf and NaN as it always did. An exactly zero sum is +0.0, as in
+    ``math.fsum``.
+    """
+    t = np.asarray(terms, dtype=np.float64)
+    rows, n = t.shape
+    if n == 0:
+        return np.zeros(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(t).sum(axis=1)
+        # Terms along axis 0, so each half below is one block of memory
+        # when the caller passes a transposed C array.
+        s, c, depth = t.T, None, 0
+        while len(s) > 1:
+            half, odd = divmod(len(s), 2)
+            a, b = s[:half], s[half : 2 * half]
+            x = np.empty((half + odd, rows))
+            e = np.empty_like(x)
+            pair, error = x[:half], e[:half]
+            np.add(a, b, out=pair)
+            # TwoSum: error = (a - (pair - z)) + (b - z), exactly a + b - pair
+            z = pair - a
+            np.subtract(pair, z, out=error)
+            np.subtract(a, error, out=error)
+            np.subtract(b, z, out=z)
+            error += z
+            if c is not None:
+                error += c[:half]
+                error += c[half : 2 * half]
+            if odd:
+                x[half] = s[-1]
+                e[half] = 0.0 if c is None else c[-1]
+            s, c, depth = x, e, depth + 1
+        s = s[0]
+        c = np.zeros(rows) if c is None else c[0]
+        r = s + c
+        z = r - s
+        remainder = (s - (r - z)) + (c - z)
+        bound = magnitude * (depth * depth * 2.0**-104)
+        up = np.nextafter(r, np.inf) - r
+        down = r - np.nextafter(r, -np.inf)
+        exact = (
+            ((remainder + bound) * 2.0 < up)
+            & ((remainder - bound) * 2.0 > -down)
+            & (np.abs(r) < _DBL_MAX)
+        )
+    r += 0.0  # -0.0 to +0.0
+    for i in np.flatnonzero(~exact).tolist():
+        r[i] = math.fsum(t[i].tolist())
+    return r
+
+
+def _batched_fsums(rows: int, width: int, terms) -> np.ndarray:
+    """``_row_fsums`` of a rows x width array of terms, built by
+    ``terms(start, stop)`` a batch of rows at a time within
+    ``_BATCH_BYTES``."""
+    step = max(1, _BATCH_BYTES // (8 * max(width, 1)))
+    sums = [_row_fsums(terms(a, min(a + step, rows))) for a in range(0, rows, step)]
+    return np.concatenate(sums) if sums else np.zeros(0)
+
+
+def _norms(matrices, kind: str) -> list[float]:
+    """``matrix_norm`` of each of the same-sized ``matrices``."""
+
+    def terms(start, stop):
+        flat = np.array(
+            [np.asarray(m, dtype=np.float64).ravel() for m in matrices[start:stop]]
+        )
+        if kind == ENTRYWISE_L1:
+            return np.abs(flat, out=flat)
+        if kind == FROBENIUS:
+            return np.multiply(flat, flat, out=flat)
+        raise ValueError(f"unknown norm kind {kind!r}")
+
+    width = np.asarray(matrices[0]).size if matrices else 0
+    sums = _batched_fsums(len(matrices), width, terms).tolist()
+    return sums if kind == ENTRYWISE_L1 else [math.sqrt(v) for v in sums]
+
 
 def matrix_norm(matrix, kind: str = ENTRYWISE_L1) -> float:
     """Entrywise L1 norm (sum of absolute values) or Frobenius norm."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if kind == ENTRYWISE_L1:
-        return math.fsum(np.abs(m).ravel().tolist())
-    if kind == FROBENIUS:
-        return math.sqrt(math.fsum((m * m).ravel().tolist()))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return _norms([matrix], kind)[0]
 
 
 @dataclass(frozen=True)
@@ -50,7 +159,7 @@ class OrderContributions:
 
 def order_contributions(decomp, kind: str = ENTRYWISE_L1) -> OrderContributions:
     """Norms and relative shares of the per-order flow matrices."""
-    norms = tuple(matrix_norm(m, kind) for m in decomp.order_flows)
+    norms = tuple(_norms(decomp.order_flows, kind))
     total = math.fsum(norms)
     if not norms or total <= 0.0:
         return OrderContributions(norm_kind=kind, norms=norms, shares=())
@@ -65,8 +174,8 @@ def expected_flow(flow) -> np.ndarray:
         raise ValueError("flow matrix must be square")
     if np.any(f < 0):
         raise ValueError("flow matrix must be nonnegative")
-    row_sums = np.array([math.fsum(row) for row in f])
-    col_sums = np.array([math.fsum(col) for col in f.T])
+    row_sums = _row_fsums(f)
+    col_sums = _row_fsums(f.T)
     total = math.fsum(row_sums)
     if total <= 0.0:
         raise ValueError("flow matrix has zero total; expected flow is undefined")
@@ -204,38 +313,68 @@ def betweenness_centrality(net: DisciplineNetwork) -> np.ndarray:
 
     Every edge has length one, whatever its weight. Scores are
     unnormalized, shortest paths split evenly, and each unordered pair
-    contributes once.
+    contributes once. Brandes' algorithm runs for a batch of sources at
+    once, level by level (``_dependencies``), and the sources' dependency
+    rows are added in source order.
     """
     k = net.size
-    adjacency: list[list[int]] = [[] for _ in range(k)]
-    for u, v in sorted(net.edges):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    scores = [0.0] * k
-    for s in range(k):
-        sigma = [0.0] * k
-        sigma[s] = 1.0
-        dist = [math.inf] * k
-        dist[s] = 0.0
-        preds: list[list[int]] = [[] for _ in range(k)]
-        # Breadth-first: the loop visits nodes in the order they are
-        # appended, so ``order`` is the queue and the visiting order.
-        order = [s]
-        for u in order:
-            for v in adjacency[u]:
-                if dist[v] == math.inf:
-                    dist[v] = dist[u] + 1
-                    order.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = [0.0] * k
-        for u in reversed(order):
-            for p in preds[u]:
-                delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
-            if u != s:
-                scores[u] += delta[u]
-    return np.array(scores) / 2.0
+    edges = np.array(sorted(net.edges), dtype=np.int64).reshape(-1, 2)
+    # Each edge (u, v) of the sorted list puts v on u's list, then u on v's.
+    tails, heads = edges.ravel(), edges[:, ::-1].ravel()
+    neighbours = heads[np.argsort(tails, kind="stable")]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=k), out=indptr[1:])
+    scores = np.zeros(k, dtype=np.float64)
+    # a source's search holds a few 8-byte arrays of its adjacency and nodes
+    step = max(1, _BATCH_BYTES // (32 * max(len(neighbours) + k, 1)))
+    for start in range(0, k, step):
+        sources = np.arange(start, min(start + step, k))
+        for row in _dependencies(indptr, neighbours, sources, k):
+            scores += row
+    return scores / 2.0
+
+
+def _dependencies(indptr, neighbours, sources, k) -> np.ndarray:
+    """Brandes' dependencies of every node on each of ``sources``.
+
+    One breadth-first search per source, all of them a level at a time
+    over flat (source, node) indices, with the float operations of the
+    one-source loop in its order: a node's path count adds its
+    predecessors' in their visiting order, and a dependency adds its
+    successors' shares in reverse visiting order. ``np.add.at`` applies
+    repeated indices in array order. The sources' own entries are zero.
+    """
+    rows = len(sources)
+    first = np.arange(rows) * k + sources
+    dist = np.full(rows * k, -1, dtype=np.int64)
+    sigma = np.zeros(rows * k, dtype=np.float64)
+    rank = np.zeros(rows * k, dtype=np.int64)  # visiting order within a level
+    dist[first], sigma[first] = 0, 1.0
+    frontier, levels, level = first, [], 0
+    while frontier.size:
+        node = frontier % k
+        counts = indptr[node + 1] - indptr[node]
+        owner = np.repeat(np.arange(len(frontier)), counts)
+        # Candidates in visiting order: frontier entry, then its list.
+        offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        tail = frontier[owner]
+        head = tail - node[owner] + neighbours[indptr[node][owner] + offset]
+        fresh, seen = np.unique(head[dist[head] < 0], return_index=True)
+        frontier = fresh[np.argsort(seen)]
+        level += 1
+        dist[frontier] = level
+        rank[frontier] = np.arange(len(frontier))
+        keep = dist[head] == level
+        tail, head = tail[keep], head[keep]
+        np.add.at(sigma, head, sigma[tail])
+        levels.append((tail, head))
+    delta = np.zeros(rows * k, dtype=np.float64)
+    for tail, head in reversed(levels):
+        order = np.argsort(-rank[head], kind="stable")
+        tail, head = tail[order], head[order]
+        np.add.at(delta, tail, sigma[tail] / sigma[head] * (1.0 + delta[head]))
+    delta[first] = 0.0
+    return delta.reshape(rows, k)
 
 
 def incoming_shares(flow) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +384,7 @@ def incoming_shares(flow) -> tuple[np.ndarray, np.ndarray]:
     all-zero and get flagged instead of dividing by zero.
     """
     f = np.asarray(flow, dtype=np.float64)
-    col_sums = np.array([math.fsum(col) for col in f.T.tolist()])
+    col_sums = _row_fsums(f.T)
     zero = col_sums == 0.0
     shares = np.divide(f, col_sums, out=np.zeros_like(f), where=~zero)
     return shares, zero
@@ -259,17 +398,22 @@ def cosine_similarity(flow) -> np.ndarray:
     """
     f = np.asarray(flow, dtype=np.float64)
     k = f.shape[0]
-    norms = [math.sqrt(math.fsum(squares)) for squares in (f * f).T.tolist()]
+    norms = [math.sqrt(v) for v in _row_fsums((f * f).T).tolist()]
     s = np.zeros((k, k), dtype=np.float64)
-    for u in range(k):
-        if not norms[u] > 0.0:
-            continue
-        # Row v - u - 1 holds the terms of the dot product of columns u and v.
-        products = (f[:, u + 1 :] * f[:, u : u + 1]).T.tolist()
-        for v, terms in enumerate(products, start=u + 1):
-            if norms[v] > 0.0:
-                dot = math.fsum(terms)
-                s[u, v] = s[v, u] = min(dot / (norms[u] * norms[v]), 1.0)
+    # The dot products of the columns with a positive norm, pair by pair.
+    columns = np.flatnonzero(np.array(norms) > 0.0)
+    first, second = (columns[i] for i in np.triu_indices(len(columns), 1))
+
+    columns_f = np.ascontiguousarray(f.T)
+
+    def products(start, stop):
+        return columns_f[second[start:stop]] * columns_f[first[start:stop]]
+
+    dots = _batched_fsums(len(first), k, products).tolist()
+    pairs = zip(first.tolist(), second.tolist(), dots)
+    # Python floats divide as before: an underflowed denominator raises.
+    quotients = np.array([dot / (norms[u] * norms[v]) for u, v, dot in pairs])
+    s[first, second] = s[second, first] = np.minimum(quotients, 1.0)
     np.fill_diagonal(s, 1.0)
     return s
 
@@ -295,16 +439,31 @@ def rao_entropy(flow) -> RaoScores:
     k = f.shape[0]
     shares, zero = incoming_shares(f)
     distance = 1.0 - cosine_similarity(f)
+    # The k^2 terms p_u * p_w * distance_uw of a score are symmetric in u
+    # and w, and distance_uu is 0, so the score is twice the sum over
+    # u < w. Doubling is exact short of overflow: below 2**-1021 every
+    # exact sum of doubles is a double, and above it scaling by two
+    # commutes with rounding.
+    upper = np.triu_indices(k, 1)
+    between = distance[upper]
+    finite = bool(np.isfinite(between).all())
+    columns = np.flatnonzero(~zero)
+    mixes = np.ascontiguousarray(shares.T)  # row v: the shares p of column v
+
+    def terms(start, stop):
+        p = mixes[columns[start:stop]]
+        left, right = p[:, upper[0]], p[:, upper[1]]
+        t = left * right
+        t *= between
+        if not finite:
+            # only the terms over the support of p: 0 times a distance
+            # that is not finite is NaN
+            t[(left == 0.0) | (right == 0.0)] = 0.0
+        return t
+
+    halves = _batched_fsums(len(columns), len(upper[0]), terms)
     scores = np.zeros(k, dtype=np.float64)
-    for v in range(k):
-        if zero[v]:
-            continue
-        # The k^2 terms p_u * p_w * distance_uw over the support of p;
-        # fsum rounds exactly, so their order does not matter.
-        support = np.flatnonzero(shares[:, v] != 0.0)
-        p = shares[support, v]
-        terms = np.multiply.outer(p, p) * distance[np.ix_(support, support)]
-        scores[v] = min(math.fsum(terms.ravel().tolist()), 1.0)
+    scores[columns] = np.minimum(2.0 * halves, 1.0)
     return RaoScores(shares=shares, scores=scores, zero_columns=zero)
 
 
@@ -322,18 +481,16 @@ class DisciplineSummary:
 def discipline_summary(flow, sizes) -> list[DisciplineSummary]:
     """Per-discipline size, self flow, and off-diagonal in/out flow."""
     f = np.asarray(flow, dtype=np.float64)
-    by_row, by_col = f.tolist(), f.T.tolist()
-    rows = []
-    for v in range(f.shape[0]):
-        incoming = math.fsum(by_col[v][:v] + by_col[v][v + 1 :])
-        outgoing = math.fsum(by_row[v][:v] + by_row[v][v + 1 :])
-        rows.append(
-            DisciplineSummary(
-                discipline=v,
-                size=float(sizes[v]),
-                self_flow=float(f[v, v]),
-                incoming_flow=incoming,
-                outgoing_flow=outgoing,
-            )
+    off = f.copy()
+    np.fill_diagonal(off, 0.0)  # math.fsum skips zero terms
+    incoming, outgoing = _row_fsums(off.T).tolist(), _row_fsums(off).tolist()
+    return [
+        DisciplineSummary(
+            discipline=v,
+            size=float(sizes[v]),
+            self_flow=float(f[v, v]),
+            incoming_flow=incoming[v],
+            outgoing_flow=outgoing[v],
         )
-    return rows
+        for v in range(f.shape[0])
+    ]

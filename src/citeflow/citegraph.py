@@ -503,17 +503,38 @@ def _byte_blocks(path, width: int) -> Iterator[_Table]:
 
 def _strip(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
     """Cut the leading and then the trailing ``_ASCII_SPACE`` bytes of
-    ``buf`` from the fields at ``starts`` of ``lengths``, in place: each
-    round moves one edge of the fields that still have such a byte there."""
+    ``buf`` from the fields at ``starts`` of ``lengths``, in place, in a
+    fixed number of array operations.
+
+    Two rounds move one edge byte of each field that still has such a
+    byte there, which is all most padding needs. A longer run is then cut
+    at once, to where it ends (leading) or starts (trailing), found by
+    ``searchsorted`` among all runs of such bytes; no run goes past a
+    field's end, a separator or one of the zero bytes that end ``buf``.
+    """
     cut = np.flatnonzero(lengths)
-    while cut.size:
+    for rounds in range(3):
         cut = cut[(lengths[cut] > 0) & _IS_SPACE[buf[starts[cut]]]]
-        starts[cut] += 1
-        lengths[cut] -= 1
+        if rounds < 2:
+            starts[cut] += 1
+            lengths[cut] -= 1
+        elif cut.size:
+            space = _IS_SPACE[buf]
+            run_ends = np.flatnonzero(space[:-1] > space[1:]) + 1
+            ends = starts[cut] + lengths[cut]
+            starts[cut] = run_ends[np.searchsorted(run_ends, starts[cut], "right")]
+            lengths[cut] = ends - starts[cut]
     cut = np.flatnonzero(lengths)
-    while cut.size:
+    for rounds in range(3):
         cut = cut[(lengths[cut] > 0) & _IS_SPACE[buf[starts[cut] + lengths[cut] - 1]]]
-        lengths[cut] -= 1
+        if rounds < 2:
+            lengths[cut] -= 1
+        elif cut.size:
+            space = _IS_SPACE[buf]
+            run_starts = np.flatnonzero(space[:-1] < space[1:]) + 1
+            last = starts[cut] + lengths[cut] - 1
+            at = np.searchsorted(run_starts, last, "right") - 1
+            lengths[cut] = run_starts[at] - starts[cut]
 
 
 @dataclass(frozen=True)
@@ -617,7 +638,8 @@ def _numbers(
     (False when none).
 
     Fields read as bytes, none longer than ``_PAD``, are cast all at once
-    from bytes, which numpy does as ``int`` and ``float`` do for ASCII; it
+    from bytes: integers of 1 to 18 ASCII digits by ``_digits``, anything
+    else by numpy, which casts as ``int`` and ``float`` do for ASCII and
     rejects any byte beyond ASCII. Only when that fails, or cannot be
     tried, are they taken as strings, first all at once and then one by
     one: a rejected string reads 0, and an integer beyond int64 is clipped
@@ -628,8 +650,14 @@ def _numbers(
         width = max(int(column.lengths.max(initial=0)), len(blank), 1)
         count = -(-width // 8)
         cells = np.ascontiguousarray(column.words(count).T).view(f"S{8 * count}")[:, 0]
+        sizes = column.lengths
         if blank:
-            cells[column.lengths == 0] = blank.encode()
+            cells[sizes == 0] = blank.encode()
+            sizes = np.where(sizes == 0, len(blank.encode()), sizes)
+        if convert is int:
+            values = _digits(cells, sizes)
+            if values is not None:
+                return values, False
         try:
             return cells.astype(dtype), False
         except (ValueError, OverflowError):
@@ -649,6 +677,22 @@ def _numbers(
         except OverflowError:
             values[i] = np.iinfo(dtype).max if int(s) > 0 else np.iinfo(dtype).min
     return values, rejected
+
+
+def _digits(cells: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the NUL-padded byte strings ``cells`` of
+    ``sizes`` bytes when every one is 1 to 18 ASCII digits, which no int64
+    overflows; else None."""
+    if sizes.min(initial=1) < 1 or sizes.max(initial=0) > 18:
+        return None
+    raw = cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
+    digits = raw[:, :18] - ord("0")  # a byte below "0" wraps past 9
+    if ((digits > 9) & (np.arange(digits.shape[1]) < sizes[:, None])).any():
+        return None
+    values = np.zeros(len(cells), dtype=np.int64)
+    for j in range(int(sizes.max(initial=0))):
+        values = np.where(sizes > j, values * 10 + digits[:, j], values)
+    return values
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)

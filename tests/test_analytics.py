@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeflow import (
@@ -34,7 +34,7 @@ from citeflow import (
     rao_entropy,
     threshold_network,
 )
-from citeflow.analytics import _nearest_rank
+from citeflow.analytics import _nearest_rank, _row_fsums
 from conftest import FIX7_F, FIX7_M1, FIX7_SHARES, dense_membership
 
 
@@ -683,3 +683,282 @@ class TestNetworkOracles:
         for net, oracle in zip(networks, _oracle_threshold_network(fhat)):
             assert _items(net) == _items(oracle)
         _assert_network_matches_oracle(networks[0])
+
+
+def _fsum_outcome(rows):
+    """What per-row ``math.fsum`` gives: the sums, or the first error."""
+    try:
+        return np.array([math.fsum(row) for row in rows]).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIAL = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 2.0**-53,
+    2.0**-52, 2.0**53, 1e16, -1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e308, math.inf, -math.inf, math.nan,
+])
+# Any exponent, from subnormal to near overflow, with a full mantissa.
+_SCALED = st.builds(
+    math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 971)
+)
+_TERM = _SPECIAL | _SCALED | st.floats()
+
+
+@st.composite
+def _term_rows(draw):
+    """One to five rows of one length, 0 to 40, of terms of any kind."""
+    width = draw(st.integers(0, 40))
+    row = st.lists(_TERM, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+class TestRowFsums:
+    """``_row_fsums`` gives each row's ``math.fsum`` bit for bit, and raises
+    what it raises."""
+
+    @given(rows=_term_rows())
+    @example(rows=[[1.0, 2.0**-53]])  # an exact tie, to even
+    @example(rows=[[1e308, 1e308]])  # overflows
+    @example(rows=[[1e308, 1e308, -1e308]])  # overflows on the way
+    @example(rows=[[math.inf, -math.inf]])
+    @example(rows=[[-0.0], [-0.0]])
+    @example(rows=[[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+    @example(rows=[[5e-324, 5e-324, -2.2250738585072014e-308]])
+    @example(rows=[[  # found with the bound set to zero
+        1.0331934196074032e-32, -3.886754434473591e-35, 4.5797622701004625e-35,
+        -8.203550393695969e-33, 8.985000421453883e-35, 5.4897886757410114e-34,
+        1.1102230246251565e-16, 1.0,
+    ]])
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_matches_fsum(self, rows):
+        terms = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+        got = _outcome(lambda: _row_fsums(terms).tobytes())
+        assert got == _fsum_outcome(rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_ties(self, seed):
+        """Rows whose exact sum lies within a few units of 2**-105 of a
+        rounding tie, in pieces whose errors the compensation rounds away:
+        only the error bound keeps the kernel from accepting them."""
+        rng = np.random.default_rng(seed)
+        rows = 20_000
+        mantissas = rng.integers(2**52, 2**53, (rows, 6)).astype(np.float64)
+        pieces = np.ldexp(mantissas, -159 + rng.integers(-8, 3, (rows, 6)))
+        pieces *= rng.choice([-1.0, 1.0], (rows, 6)) * (rng.random((rows, 6)) < 0.7)
+        tie = 2.0**-53 + rng.choice([-1.0, 0.0, 1.0], rows) * 2.0**-105
+        terms = np.column_stack([np.ones(rows), tie, pieces])
+        order = rng.permuted(np.tile(np.arange(8), (rows, 1)), axis=1)
+        terms = np.take_along_axis(terms, order, axis=1)
+        terms = np.ldexp(terms, rng.integers(-900, 900, (rows, 1)))
+        assert _row_fsums(terms).tobytes() == _fsum_outcome(terms.tolist())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_long_signed_rows(self, seed):
+        # signed terms with exponents within about +-300
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 12)), int(rng.integers(100, 3000))
+        terms = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+            -300, 300, (rows, width)
+        )
+        if seed % 3 == 0:  # heavy cancellation
+            terms[:, 1::2] = -terms[:, ::2][:, : width // 2] * (1 + 2.0**-40)
+        assert _row_fsums(terms).tobytes() == _fsum_outcome(terms.tolist())
+
+    def test_shapes(self):
+        assert _row_fsums(np.zeros((3, 0))).tobytes() == np.zeros(3).tobytes()
+        assert _row_fsums(np.zeros((0, 5))).shape == (0,)
+        assert _row_fsums(np.full((2, 1), -0.0)).tobytes() == np.zeros(2).tobytes()
+        transposed = np.arange(12.0).reshape(3, 4).T
+        assert _row_fsums(transposed).tolist() == [12.0, 15.0, 18.0, 21.0]
+
+
+# ``rao_entropy``, ``cosine_similarity``, ``matrix_norm``, ``expected_flow``
+# and ``discipline_summary`` as they summed with ``math.fsum`` over
+# ``.tolist()``, kept as the oracle: the array forms must agree bit for bit.
+# (``_oracle_betweenness_centrality`` above is the betweenness oracle.)
+def _fsum_matrix_norm(matrix, kind=ENTRYWISE_L1):
+    m = np.asarray(matrix, dtype=np.float64)
+    if kind == ENTRYWISE_L1:
+        return math.fsum(np.abs(m).ravel().tolist())
+    if kind == FROBENIUS:
+        return math.sqrt(math.fsum((m * m).ravel().tolist()))
+    raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _fsum_expected_flow(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    if np.any(f < 0):
+        raise ValueError("flow matrix must be nonnegative")
+    row_sums = np.array([math.fsum(row) for row in f])
+    col_sums = np.array([math.fsum(col) for col in f.T])
+    total = math.fsum(row_sums)
+    if total <= 0.0:
+        raise ValueError("flow matrix has zero total; expected flow is undefined")
+    return np.outer(row_sums, col_sums) / total
+
+
+def _fsum_cosine_similarity(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    k = f.shape[0]
+    norms = [math.sqrt(math.fsum(squares)) for squares in (f * f).T.tolist()]
+    s = np.zeros((k, k), dtype=np.float64)
+    for u in range(k):
+        if not norms[u] > 0.0:
+            continue
+        products = (f[:, u + 1 :] * f[:, u : u + 1]).T.tolist()
+        for v, terms in enumerate(products, start=u + 1):
+            if norms[v] > 0.0:
+                dot = math.fsum(terms)
+                s[u, v] = s[v, u] = min(dot / (norms[u] * norms[v]), 1.0)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def _fsum_rao_scores(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    k = f.shape[0]
+    shares, zero = incoming_shares(f)
+    distance = 1.0 - _fsum_cosine_similarity(f)
+    scores = np.zeros(k, dtype=np.float64)
+    for v in range(k):
+        if zero[v]:
+            continue
+        support = np.flatnonzero(shares[:, v] != 0.0)
+        p = shares[support, v]
+        terms = np.multiply.outer(p, p) * distance[np.ix_(support, support)]
+        scores[v] = min(math.fsum(terms.ravel().tolist()), 1.0)
+    return scores
+
+
+def _fsum_in_out(flow):
+    f = np.asarray(flow, dtype=np.float64)
+    by_row, by_col = f.tolist(), f.T.tolist()
+    return [
+        (math.fsum(by_col[v][:v] + by_col[v][v + 1 :]),
+         math.fsum(by_row[v][:v] + by_row[v][v + 1 :]))
+        for v in range(f.shape[0])
+    ]
+
+
+@st.composite
+def _flows(draw):
+    """Nonnegative k x k flows, k from 1 to 40: dense, sparse, small
+    integers (tied values), or spread over many binades down to
+    subnormals; some columns or rows zero."""
+    k = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["dense", "sparse", "ties", "binades"]))
+    if style == "ties":
+        f = rng.integers(0, 4, (k, k)).astype(np.float64)
+    elif style == "binades":
+        f = rng.random((k, k)) * 2.0 ** rng.integers(-1070, 60, (k, k))
+    else:
+        f = rng.random((k, k)) * 100.0
+        if style == "sparse":
+            f *= rng.random((k, k)) < 0.3
+    for column in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        f[:, column] = 0.0
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        f[row] = 0.0
+    return f
+
+
+def _bytes(fn):
+    return lambda *args: fn(*args).tobytes()
+
+
+class TestArrayFormsMatchFsum:
+    @given(f=_flows())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_discipline_analytics(self, f):
+        assert _outcome(_bytes(cosine_similarity), f) == _outcome(
+            _bytes(_fsum_cosine_similarity), f
+        )
+        assert _outcome(lambda x: rao_entropy(x).scores.tobytes(), f) == _outcome(
+            _bytes(_fsum_rao_scores), f
+        )
+        assert _outcome(_bytes(expected_flow), f) == _outcome(
+            _bytes(_fsum_expected_flow), f
+        )
+        rows = discipline_summary(f, [1.0] * len(f))
+        in_out = [(r.incoming_flow, r.outgoing_flow) for r in rows]
+        assert repr(in_out) == repr(_fsum_in_out(f))
+        for kind in (ENTRYWISE_L1, FROBENIUS):
+            signed = f - f.T
+            assert repr(matrix_norm(signed, kind)) == repr(_fsum_matrix_norm(signed, kind))
+
+    @given(f=_flows(), orders=st.integers(0, 4))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_order_contributions(self, f, orders):
+        flows = tuple(f * (t + 1) - f.T for t in range(orders))
+
+        class Decomposition:
+            order_flows = flows
+
+        for kind in (ENTRYWISE_L1, FROBENIUS):
+            norms = order_contributions(Decomposition, kind).norms
+            assert repr(norms) == repr(tuple(_fsum_matrix_norm(m, kind) for m in flows))
+
+    def test_huge_flows_keep_the_support(self):
+        # squares overflow, so distances are NaN off the support of each share
+        f = np.array([[1e200, 0.0, 1.0], [1e200, 2.0, 0.0], [0.0, 3.0, 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = rao_entropy(f).scores, _fsum_rao_scores(f)
+        assert got.tobytes() == want.tobytes()
+
+    def test_underflowed_denominator_raises_as_before(self):
+        f = np.array([[1e-170, 0.0], [0.0, 1e-170]]) + np.array([[0.0, 1e-170], [0.0, 0.0]])
+        assert _outcome(_bytes(cosine_similarity), f) == _outcome(
+            _bytes(_fsum_cosine_similarity), f
+        )
+
+
+def _grid(rows, cols):
+    """A rows x cols grid: many shortest paths between far corners."""
+    edges = {}
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges[(v, v + 1)] = 1.0
+            if r + 1 < rows:
+                edges[(v, v + cols)] = 1.0
+    return DisciplineNetwork(rows * cols, edges)
+
+
+class TestBetweennessShapes:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            DisciplineNetwork(1, {}),
+            DisciplineNetwork(2, {(0, 1): 1.0}),
+            DisciplineNetwork(6, {(i, (i + 1) % 6) if i < 5 else (0, 5): 1.0 for i in range(6)}),
+            _grid(4, 5),
+            _grid(7, 7),
+            DisciplineNetwork(9, {(u, v): 1.0 for u in range(3) for v in range(3, 9)}),
+            DisciplineNetwork(12, {**_clique(4), **_clique(5, offset=5), (10, 11): 0.0}),
+        ],
+        ids=["single", "pair", "cycle", "grid-4x5", "grid-7x7", "bipartite",
+             "disconnected"],
+    )
+    def test_matches_the_oracle(self, net):
+        assert betweenness_centrality(net).tobytes() == (
+            _oracle_betweenness_centrality(net).tobytes()
+        )
+
+    def test_sources_in_several_batches(self, monkeypatch):
+        # one source per batch, and all sources in one
+        net = _grid(6, 6)
+        want = _oracle_betweenness_centrality(net).tobytes()
+        for budget in (1, 1 << 30):
+            monkeypatch.setattr("citeflow.analytics._BATCH_BYTES", budget)
+            assert betweenness_centrality(net).tobytes() == want

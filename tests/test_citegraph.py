@@ -6,6 +6,7 @@ import collections
 import csv
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -143,6 +144,45 @@ class TestParseNodes:
         text = "id,year,month\na,2016,1\nb,20x6,1\nc,2016\n"
         with pytest.raises(IngestError, match="line 3: year '20x6'"):
             parse_nodes(_write(tmp_path, "n.csv", text))
+
+
+# Fields of years and months: plain digits of every length around the
+# 18 that ``_digits`` reads, and the forms that only ``int`` reads or
+# rejects (signs, underscores, digits beyond ASCII, letters, blanks).
+_NUMBER_FIELD = (
+    st.from_regex(r"[0-9]{1,20}", fullmatch=True)
+    | st.integers(-(10**20), 10**20).map(str)
+    | st.sampled_from(["", "0", "+5", "-0", "1_000", "\u0663", "0x1f", "12a", "9" * 18,
+                       "9" * 19, "0" * 19 + "1", "-" + "9" * 19])
+    | st.text(alphabet="0123456789+-_ a\u0663", max_size=20)
+)
+
+
+class TestNumbers:
+    @given(
+        fields=st.lists(_NUMBER_FIELD, max_size=20),
+        blank=st.sampled_from(["", "1"]),
+        as_bytes=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_integers_match_int(self, fields, blank, as_bytes):
+        """Each field reads as ``int`` reads it, clipped into int64, and is
+        rejected where ``int`` raises, whichever path reads it."""
+        column = citegraph._Fields.of(fields)
+        if as_bytes:
+            column = citegraph._Fields(column.data, column.starts, column.lengths)
+        values, rejected = citegraph._numbers(int, column, np.int64, blank)
+        expected, bad = [], []
+        for field in fields:
+            try:
+                value = int(field or blank)
+            except ValueError:
+                value = None
+            bad.append(value is None)
+            limit = np.iinfo(np.int64)
+            expected.append(0 if value is None else min(max(value, limit.min), limit.max))
+        assert values.dtype == np.int64 and values.tolist() == expected
+        assert (np.zeros(len(fields), bool) | rejected).tolist() == bad
 
 
 def _edge_rows(path):
@@ -387,6 +427,22 @@ class TestPlainTableReader:
         assert not any(citegraph._narrow(f"a{c}b\n".encode()) for c in spaces)
         others = "".join(c for c in chars if not c.isspace())
         assert citegraph._narrow(others.encode())
+
+    def test_long_padding_is_cut_at_once(self, tmp_path):
+        # 360 KB of fields padded by 60 000 spaces a side: cutting one byte
+        # of padding per numpy round took seconds
+        pad = " " * 60_000
+        text = "citing,cited\n" + "".join(
+            f"{pad}p{i}{pad},\tp{i + 1}\n" for i in range(3)
+        )
+        path = _write(tmp_path, "e.csv", text)
+        assert citegraph._byte_table(path, citegraph.EDGE_HEADER)
+        started = time.perf_counter()
+        plain = [(line, list(row)) for b in citegraph._blocks(path, citegraph.EDGE_HEADER)
+                 for line, *row in zip(b.lines, *b.columns)]
+        assert time.perf_counter() - started < 0.5
+        assert plain == list(_rows(path, citegraph.EDGE_HEADER))
+        assert plain[0] == (2, ["p0", "p1"])
 
     def test_overlong_last_field_without_newline_takes_the_csv_path(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\np1," + "x" * (_FIELD_LIMIT + 1))
