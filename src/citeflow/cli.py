@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import os
 import re
 import resource
@@ -108,6 +109,11 @@ def _csv_fields(fields: list[str]) -> list[str]:
     return quoted
 
 
+# Rows that a table writer formats or gathers before it writes them, so
+# that its scratch stays bounded by one block.
+_BLOCK_ROWS = 4096
+
+
 def _write_table(path: Path, header: list[str], texts, numbers) -> None:
     """Write one CSV table: ``header``, then one row per record.
 
@@ -120,9 +126,49 @@ def _write_table(path: Path, header: list[str], texts, numbers) -> None:
     values = (np.asarray(numbers, dtype=np.float64) + 0.0).T.tolist()
     template = ",".join(["%s"] * len(texts) + ["%.12g"] * len(values)) + "\n"
     columns = [_csv_fields(column) for column in texts] + values
+    rows = map(template.__mod__, zip(*columns, strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_csv_fields(header)) + "\n")
-        fh.write("".join(map(template.__mod__, zip(*columns, strict=True))))
+        while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
+            fh.write(block)
+
+
+def _field_table(fields):
+    """``fields`` as ``_csv_fields`` quotes them, each in UTF-8 and followed
+    by a comma: one zero-padded row of a uint8 table per field, the mask
+    of its real bytes, and the byte length of each."""
+    encoded = [field.encode() + b"," for field in _csv_fields(fields)]
+    table = np.array(encoded, dtype=bytes)  # the "S" dtype pads with zeros
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    real = np.arange(table.itemsize) < lengths[:, None]
+    return table.view(np.uint8).reshape(real.shape), real, lengths
+
+
+def _number_column(values):
+    """``values`` as a column for ``_write_gathered``: the distinct values,
+    each printed once as ``_fmt`` prints it, and the index of each value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return _field_table(list(map(_fmt, distinct.tolist()))), index
+
+
+def _write_gathered(path: Path, header: list[str], columns) -> None:
+    """Write one CSV table: ``header``, then row i, which holds field
+    ``index[i]`` of each column's ``_field_table`` for every
+    ``(fields, index)`` pair in ``columns``. The bytes of a block of rows
+    are gathered from the tables at once, so no row is a Python object.
+    """
+    with open(path, "wb") as fh:
+        fh.write((",".join(_csv_fields(header)) + "\n").encode())
+        for start in range(0, len(columns[0][1]), _BLOCK_ROWS):
+            cells, real, row_bytes = [], [], 0
+            for (table, table_real, lengths), index in columns:
+                picked = index[start:start + _BLOCK_ROWS]
+                cells.append(np.take(table, picked, axis=0))
+                real.append(np.take(table_real, picked, axis=0))
+                row_bytes = row_bytes + lengths[picked]
+            block = np.hstack(cells)[np.hstack(real)]
+            block[np.cumsum(row_bytes) - 1] = ord("\n")  # each row's last comma
+            fh.write(block)
 
 
 def _dot_escape(text: str) -> str:
@@ -330,22 +376,22 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, membership = refkit.random_dag(spec)
-    ids = np.array(graph.node_ids)
+    ids = _field_table(graph.node_ids)
     years, months = np.divmod(graph.time_keys, 12)
-    _write_table(
-        out / "nodes.csv", list(citegraph.NODE_HEADER), [graph.node_ids],
-        np.column_stack([years, months + 1]),
+    _write_gathered(
+        out / "nodes.csv", list(citegraph.NODE_HEADER),
+        [(ids, np.arange(graph.n)), _number_column(years), _number_column(months + 1)],
     )
-    citing = ids[np.repeat(np.arange(graph.n), graph.outdegree)]
-    _write_table(
+    citing = np.repeat(np.arange(graph.n), graph.outdegree)
+    _write_gathered(
         out / "edges.csv", list(citegraph.EDGE_HEADER),
-        [citing.tolist(), ids[graph.indices].tolist()], np.empty((graph.m, 0)),
+        [(ids, citing), (ids, graph.indices)],
     )
     rows = np.repeat(np.arange(membership.n), np.diff(membership.indptr))
-    _write_table(
+    _write_gathered(
         out / "membership.csv", list(citegraph.MEMBERSHIP_HEADER),
-        [ids[rows].tolist(), np.array(membership.labels)[membership.indices].tolist()],
-        membership.data[:, None],
+        [(ids, rows), (_field_table(membership.labels), membership.indices),
+         _number_column(membership.data)],
     )
     _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
     return 0

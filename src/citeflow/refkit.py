@@ -302,7 +302,7 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     """
     rng = np.random.default_rng(spec.seed)
     width = max(len(str(spec.n)), 1)
-    ids = tuple(f"p{i + 1:0{width}d}" for i in range(spec.n))
+    ids = tuple(map(f"p%0{width}d".__mod__, range(1, spec.n + 1)))
     buckets = rng.integers(0, spec.month_span, size=spec.n)
 
     # Each batch adds its new pairs in proposal order, as if they were

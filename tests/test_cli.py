@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeflow import dependence
-from citeflow.cli import _write_table, main
+from citeflow.cli import _field_table, _number_column, _write_gathered, _write_table, main
 from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
 
 
@@ -45,10 +45,10 @@ def _compute(fix7_files, out_dir, *extra) -> int:
     )
 
 
-# The writer that every table went through before ``_write_table``, kept
-# as the oracle of its format: one ``csv.writer`` row at a time. Rows are
-# quoted as for a "\r\n" terminator, so that a lone "\r" is quoted too,
-# and end in "\n".
+# The writer that every table went through before ``_write_table`` and
+# ``_write_gathered``, kept as the oracle of their format: one
+# ``csv.writer`` row at a time. Rows are quoted as for a "\r\n"
+# terminator, so that a lone "\r" is quoted too, and end in "\n".
 def _fmt(x) -> str:
     v = float(x)
     if v == 0.0:
@@ -88,7 +88,8 @@ def _table_bytes(tmp_path: Path, write, *args) -> bytes:
 
 
 class TestWriteTable:
-    """``_write_table`` writes what the csv-module oracle writes, byte for byte."""
+    """``_write_table`` and ``_write_gathered`` write what the csv-module
+    oracle writes, byte for byte."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -104,10 +105,18 @@ class TestWriteTable:
                      max_size=text_count + len(integer_columns)),
             label="header",
         )
-        texts = [
-            data.draw(st.lists(_FIELDS, min_size=rows, max_size=rows))
+        # Each text column is drawn as a few strings and an index that
+        # picks, with repeats, the string of each row.
+        distinct = [
+            data.draw(st.lists(_FIELDS, min_size=1, max_size=4))
             for _ in range(text_count)
         ]
+        indices = [
+            np.array(data.draw(st.lists(st.integers(0, len(strings) - 1),
+                                        min_size=rows, max_size=rows)), dtype=np.intp)
+            for strings in distinct
+        ]
+        texts = [[strings[i] for i in index] for strings, index in zip(distinct, indices)]
         numbers = [
             data.draw(st.lists(_INTEGERS if is_int else _FLOATS,
                                min_size=rows, max_size=rows))
@@ -119,10 +128,15 @@ class TestWriteTable:
         ]
         oracle = [header, *(list(row) for row in zip(*texts, *printed))]
         array = np.array(numbers, dtype=np.float64).reshape(len(numbers), rows).T
-        with tempfile.TemporaryDirectory() as tmp:
-            assert _table_bytes(Path(tmp), _write_table, header, texts, array) == (
-                _table_bytes(Path(tmp), _write_rows, oracle)
-            )
+        columns = [(_field_table(strings), index)
+                   for strings, index in zip(distinct, indices)]
+        columns += [_number_column(column) for column in array.T]
+        block = data.draw(st.integers(1, 3), label="rows per block")
+        with (tempfile.TemporaryDirectory() as tmp,
+              mock.patch("citeflow.cli._BLOCK_ROWS", block)):
+            expected = _table_bytes(Path(tmp), _write_rows, oracle)
+            assert _table_bytes(Path(tmp), _write_table, header, texts, array) == expected
+            assert _table_bytes(Path(tmp), _write_gathered, header, columns) == expected
 
     @given(
         labels=st.lists(_FIELDS, min_size=1, max_size=4),
@@ -623,8 +637,22 @@ class TestSynth:
                     "0595fcb5daac1afa1d02ebac0e85455a",
                 },
             ),
+            (
+                # Labels d01 to d99 and d100 to d120: the gather masks label
+                # fields of two widths.
+                ["--n", "2000", "--m", "8000", "--k", "120", "--seed", "3"],
+                False,
+                {
+                    "nodes.csv": "acebcc55c8481e30789849dc35e91afe"
+                    "f9aa435997381eebc723836a10d8f17a",
+                    "edges.csv": "b180730c437c3361e7d3df3d7b399a56"
+                    "1d1e4f61fd137652cbaaec5d462ac749",
+                    "membership.csv": "36a7354cd124f35b160378b26b037da8"
+                    "fab7a8a264ec84f6a66f1025487786bf",
+                },
+            ),
         ],
-        ids=["month-span-24", "infeasible-target"],
+        ids=["month-span-24", "infeasible-target", "two-label-widths"],
     )
     def test_output_bytes_are_pinned(self, tmp_path, flags, infeasible, digests):
         out = tmp_path / "synth"
