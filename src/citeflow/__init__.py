@@ -48,16 +48,6 @@ from .dependence import (
     flow_decomposition,
     propagate,
 )
-from .refkit import (
-    OracleGuardError,
-    SynthSpec,
-    dense_dependence,
-    enumerate_dependence_row,
-    enumerate_path_dependence,
-    exhaustive_modularity,
-    modularity,
-    random_dag,
-    topological_order,
-)
+from .refkit import SynthSpec, modularity, random_dag
 
 __version__ = "0.1.0"

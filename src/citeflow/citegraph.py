@@ -156,8 +156,8 @@ class CitationGraph:
     neighbours of node ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
     sorted ascending. ``time_keys`` holds each node's month key
     (``PubTime.key()``); every stored edge strictly decreases it, which
-    rules out cycles. ``heights``, ``id_table`` and ``id_index`` are
-    computed on first use and cached. Safe for concurrent reads.
+    rules out cycles. ``heights`` and ``id_table`` are computed on
+    first use and cached. Safe for concurrent reads.
     """
 
     node_ids: tuple[str, ...]
@@ -173,17 +173,9 @@ class CitationGraph:
         sets its node table's)."""
         return IdTable(_Fields.of(self.node_ids))
 
-    @cached_property
-    def id_index(self) -> dict[str, int]:
-        """The position of each publication id, built on first use."""
-        return dict(zip(self.node_ids, range(self.n)))
-
     @property
     def outdegree(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def out_neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     @cached_property
     def heights(self) -> np.ndarray:

@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import os
 import re
 import resource
@@ -19,6 +18,7 @@ import shutil
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,14 +123,15 @@ def _write_table(path: Path, header: list[str], texts, numbers) -> None:
     fields and the header are quoted as the csv module quotes them.
     Every table has at least two columns, so no row is one empty field.
     """
-    values = (np.asarray(numbers, dtype=np.float64) + 0.0).T.tolist()
-    template = ",".join(["%s"] * len(texts) + ["%.12g"] * len(values)) + "\n"
-    columns = [_csv_fields(column) for column in texts] + values
-    rows = map(template.__mod__, zip(*columns, strict=True))
+    values = np.asarray(numbers, dtype=np.float64)
+    template = ",".join(["%s"] * len(texts) + ["%.12g"] * values.shape[1]) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_csv_fields(header)) + "\n")
-        while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
-            fh.write(block)
+        for start in range(0, len(values), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            columns = [_csv_fields(column[start:stop]) for column in texts]
+            columns += (values[start:stop] + 0.0).T.tolist()
+            fh.write("".join(map(template.__mod__, zip(*columns, strict=True))))
 
 
 def _field_table(fields):
@@ -375,7 +376,13 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
     """Generate a synthetic dataset as the three input CSV files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph, membership = refkit.random_dag(spec)
+    # An infeasible edge target is a warning in the stage log, not a
+    # traceback when warnings are errors.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        graph, membership = refkit.random_dag(spec)
+    for warning in caught:
+        _log(f"warning: {warning.message}")
     ids = _field_table(graph.node_ids)
     years, months = np.divmod(graph.time_keys, 12)
     _write_gathered(

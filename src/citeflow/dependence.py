@@ -327,12 +327,6 @@ def _groups(columns: int) -> list[tuple[int, int]]:
     return [(columns * g // count, columns * (g + 1) // count) for g in range(count)]
 
 
-def column_groups(k: int) -> int:
-    """How many runs of the iteration ``flow_decomposition`` makes for
-    ``k`` disciplines: one per group of columns of ``[Q | 1]``."""
-    return len(_groups(k + 1))
-
-
 def _group_block(q, order, start: int, stop: int) -> np.ndarray:
     """Columns ``start``..``stop - 1`` of ``[Q | 1]``, rows in height order.
 

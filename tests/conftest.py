@@ -99,6 +99,11 @@ def fix7_graph():
     return graph
 
 
+def id_index(graph) -> dict[str, int]:
+    """The position of each publication id of ``graph``."""
+    return dict(zip(graph.node_ids, range(graph.n)))
+
+
 def as_scipy(holder) -> sparse.csr_matrix:
     """A Membership or NormalizedCitationOperator as a scipy CSR matrix."""
     ncols = holder.k if isinstance(holder, Membership) else holder.n
@@ -127,7 +132,7 @@ def dense_membership(array) -> Membership:
 
 @pytest.fixture
 def fix7_membership(fix7_graph):
-    index = fix7_graph.id_index
+    index = id_index(fix7_graph)
     labels = ("X", "Y", "Z")
     membership, _ = membership_from_indices(
         fix7_graph.n,

@@ -16,12 +16,9 @@ from citeflow import (
     SynthSpec,
     build_graph,
     build_operator,
-    dense_dependence,
     dependence_stack,
     dependence_vector,
     detect_communities,
-    enumerate_dependence_row,
-    exhaustive_modularity,
     flow_decomposition,
     incoming_shares,
     matrix_norm,
@@ -42,6 +39,7 @@ from conftest import (
     FIX7_SHARES,
     as_scipy,
 )
+from oracles import dense_dependence, enumerate_dependence_row, exhaustive_modularity
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "fix7"
 

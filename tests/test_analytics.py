@@ -23,7 +23,6 @@ from citeflow import (
     cosine_similarity,
     detect_communities,
     discipline_summary,
-    exhaustive_modularity,
     expected_flow,
     flow_decomposition,
     incoming_shares,
@@ -36,6 +35,7 @@ from citeflow import (
 )
 from citeflow.analytics import _nearest_rank, _row_fsums
 from conftest import FIX7_F, FIX7_M1, FIX7_SHARES, dense_membership
+from oracles import exhaustive_modularity
 
 
 @pytest.fixture

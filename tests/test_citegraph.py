@@ -35,7 +35,6 @@ from citeflow import (
 )
 from citeflow import citegraph, cli
 from citeflow.citegraph import MAX_YEAR
-from citeflow.refkit import topological_order
 from conftest import (
     EDGES_CSV,
     FIX7_EDGES,
@@ -45,8 +44,10 @@ from conftest import (
     MUTATIONS,
     NODES_CSV,
     as_scipy,
+    id_index,
     mutate_line,
 )
+from oracles import topological_order
 
 
 def _write(tmp_path, name, text):
@@ -525,8 +526,9 @@ class TestBuildGraph:
 
     def test_every_stored_edge_strictly_decreases_time(self, fix7_graph):
         tkey = fix7_graph.time_keys
+        indptr, indices = fix7_graph.indptr, fix7_graph.indices
         for u in range(fix7_graph.n):
-            for v in fix7_graph.out_neighbors(u):
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 assert tkey[u] > tkey[v]
 
     def test_outdegree_matches_stored_edges(self, fix7_graph):
@@ -557,8 +559,9 @@ class TestTopologicalOrder:
     def test_every_edge_goes_forward(self, fix7_graph):
         order = topological_order(fix7_graph)
         pos = {int(u): i for i, u in enumerate(order)}
+        indptr, indices = fix7_graph.indptr, fix7_graph.indices
         for u in range(fix7_graph.n):
-            for v in fix7_graph.out_neighbors(u):
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 assert pos[u] < pos[int(v)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -568,8 +571,9 @@ class TestTopologicalOrder:
         pos = np.empty(graph.n, dtype=np.int64)
         pos[order] = np.arange(graph.n)
         dense = np.zeros((graph.n, graph.n))
+        indptr, indices = graph.indptr, graph.indices
         for u in range(graph.n):
-            dense[pos[u], pos[graph.out_neighbors(u)]] = 1.0
+            dense[pos[u], pos[indices[indptr[u] : indptr[u + 1]]]] = 1.0
         assert np.all(np.tril(dense) == 0.0)
 
 
@@ -651,7 +655,7 @@ def _heap_order_heights(graph):
     """Height of each node by DP over the heap topological order."""
     dist = np.zeros(graph.n, dtype=np.int64)
     for u in topological_order(graph)[::-1]:
-        cited = graph.out_neighbors(u)
+        cited = graph.indices[graph.indptr[u] : graph.indptr[u + 1]]
         if cited.size:
             dist[u] = 1 + dist[cited].max()
     return dist
@@ -674,14 +678,14 @@ class TestParseMembership:
         assert membership.k == 1
         assert membership.labels == ("X",)
         assert warnings == []
-        row = as_scipy(membership)[fix7_graph.id_index["1"]].toarray().ravel()
+        row = as_scipy(membership)[id_index(fix7_graph)["1"]].toarray().ravel()
         assert row.tolist() == [1.0]
 
     def test_split_membership_renormalized_with_warning(self, tmp_path, fix7_graph):
         body = "1,X,1\n1,Y,1\n" + "".join(f"{i},X,1\n" for i in "234567")
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, warnings = parse_membership(path, fix7_graph)
-        row = as_scipy(membership)[fix7_graph.id_index["1"]].toarray().ravel()
+        row = as_scipy(membership)[id_index(fix7_graph)["1"]].toarray().ravel()
         assert row.tolist() == [0.5, 0.5]
         assert any("renormalized" in w for w in warnings)
 
@@ -690,7 +694,7 @@ class TestParseMembership:
         path = _write(tmp_path, "m.csv", "id,discipline,weight\n" + body)
         membership, warnings = parse_membership(path, fix7_graph)
         assert membership.labels == ("X", UNCLASSIFIED)
-        row = as_scipy(membership)[fix7_graph.id_index["7"]].toarray().ravel()
+        row = as_scipy(membership)[id_index(fix7_graph)["7"]].toarray().ravel()
         assert row.tolist() == [0.0, 1.0]
         assert any("7" in w for w in warnings)
 
@@ -755,8 +759,9 @@ class TestParseMembership:
 def _membership_by_rows(rows, graph):
     """Labels and dense weights, grouped and renormalized one row at a time."""
     per_node: dict[int, dict[str, float]] = {}
+    index = id_index(graph)
     for node_id, label, weight in rows:
-        bucket = per_node.setdefault(graph.id_index[node_id], {})
+        bucket = per_node.setdefault(index[node_id], {})
         bucket[label] = bucket.get(label, 0.0) + weight
     labels = list(dict.fromkeys(label for _, label, _ in rows))
     if len(per_node) < graph.n and UNCLASSIFIED not in labels:
@@ -848,6 +853,7 @@ def _check_membership_rows(path, graph: CitationGraph) -> None:
     # Per publication, the weight of each discipline summed in file
     # order, as parse_membership adds up repeated rows.
     cells: dict[str, dict[str, float]] = {}
+    index = id_index(graph)
     for lineno, (node_id, label, weight_s) in _rows(path, citegraph.MEMBERSHIP_HEADER):
         if not node_id or not label:
             raise IngestError(f"{path}: line {lineno}: empty id or discipline")
@@ -861,7 +867,7 @@ def _check_membership_rows(path, graph: CitationGraph) -> None:
             raise IngestError(
                 f"{path}: line {lineno}: nonpositive weight {weight_s} for {node_id}"
             )
-        if node_id not in graph.id_index:
+        if node_id not in index:
             raise IngestError(
                 f"{path}: line {lineno}: membership references unknown id {node_id!r}"
             )
@@ -1177,7 +1183,7 @@ class TestRandomDagInvariants:
         tkey = graph.time_keys
         pairs = set()
         for u in range(graph.n):
-            neighbors = graph.out_neighbors(u)
+            neighbors = graph.indices[graph.indptr[u] : graph.indptr[u + 1]]
             assert np.all(np.diff(neighbors) > 0)  # sorted, no duplicates
             for v in neighbors:
                 assert tkey[u] > tkey[v]

@@ -1,12 +1,16 @@
-"""The per-layer benchmark still traces a compute run of the current engine."""
+"""The per-layer benchmark still traces a compute run of the current engine,
+and its output checker still passes what the current CLI writes."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from citeflow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +29,24 @@ def test_trace_spans_compute_on_fix7(fix7_files, tmp_path):
     names = [span[0] for span in json.loads(spans.read_text())["spans"]]
     assert "dependence.flow_decomposition" in names
     assert "cli.cmd_compute" in names
+
+
+def test_checker_passes_synth_and_compute_output(tmp_path, monkeypatch):
+    # The checker imports refkit.modularity and analytics.DisciplineNetwork
+    # from the package, so this also holds those names in place.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", ROOT / "perfbench" / "check.py"
+    )
+    check = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, check)  # dataclasses look it up
+    spec.loader.exec_module(check)
+    inp, out = tmp_path / "in", tmp_path / "out"
+    n, m = 300, 1500
+    assert main(["synth", "--n", str(n), "--m", str(m), "--k", "5", "--seed", "3",
+                 "--out", str(inp)]) == 0
+    assert main(["compute", "--nodes", str(inp / "nodes.csv"),
+                 "--edges", str(inp / "edges.csv"),
+                 "--membership", str(inp / "membership.csv"), "--out", str(out)]) == 0
+    inputs = check.read_inputs(inp)
+    assert check.check_synth(inputs, n, m) == []
+    assert check.check_compute(inputs, check.expected_flows(inputs), out) == []

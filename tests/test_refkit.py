@@ -13,29 +13,31 @@ from hypothesis import strategies as st
 
 from citeflow import (
     DisciplineNetwork,
-    OracleGuardError,
     EdgeTable,
     NodeTable,
     PubTime,
     SynthSpec,
     build_graph,
     build_operator,
-    dense_dependence,
     dependence_vector,
-    enumerate_dependence_row,
-    enumerate_path_dependence,
-    exhaustive_modularity,
     modularity,
     random_dag,
     refkit,
 )
-from citeflow.refkit import topological_order
-from conftest import FIX7_P_ROW1, as_scipy
+from conftest import FIX7_P_ROW1, as_scipy, id_index
+from oracles import (
+    OracleGuardError,
+    dense_dependence,
+    enumerate_dependence_row,
+    enumerate_path_dependence,
+    exhaustive_modularity,
+    topological_order,
+)
 
 
 class TestEnumeratePathDependence:
     def test_fix7_one_to_six(self, fix7_graph):
-        idx = fix7_graph.id_index
+        idx = id_index(fix7_graph)
         value = enumerate_path_dependence(fix7_graph, idx["1"], idx["6"])
         assert value == Fraction(5, 8)
 
@@ -44,11 +46,11 @@ class TestEnumeratePathDependence:
             assert enumerate_path_dependence(fix7_graph, i, i) == Fraction(1)
 
     def test_no_reverse_path(self, fix7_graph):
-        idx = fix7_graph.id_index
+        idx = id_index(fix7_graph)
         assert enumerate_path_dependence(fix7_graph, idx["6"], idx["1"]) == Fraction(0)
 
     def test_guard_trips(self, fix7_graph):
-        idx = fix7_graph.id_index
+        idx = id_index(fix7_graph)
         with pytest.raises(OracleGuardError, match="paths"):
             enumerate_path_dependence(fix7_graph, idx["1"], idx["6"], path_guard=2)
 
@@ -79,7 +81,8 @@ class TestDenseDependence:
             [EdgeTable.from_pairs([("a", "b"), ("b", "c")])],
         )
         p = dense_dependence(graph)
-        assert p[graph.id_index["a"], graph.id_index["c"]] == 1.0
+        idx = id_index(graph)
+        assert p[idx["a"], idx["c"]] == 1.0
 
     def test_node_guard_trips(self, fix7_graph):
         with pytest.raises(OracleGuardError, match="guard"):
@@ -245,7 +248,6 @@ class TestRandomDagOracle:
         assert graph.indices.tobytes() == oracle.indices.tobytes()
         assert graph.time_keys.tobytes() == oracle.time_keys.tobytes()
         assert graph.node_ids == oracle.node_ids
-        assert graph.id_index == oracle.id_index
         assert graph.m == oracle.m == len(citing)
         assert report.synchronous_edges_discarded == 0
         assert report.duplicate_edges_discarded == 0
