@@ -393,13 +393,14 @@ class _Fields:
             return parts[0]
         if not parts:
             return cls.of(())
+        texts = None if parts[0].texts is None else [t for p in parts for t in p.texts]
+        lengths = np.concatenate([p.lengths for p in parts])
+        if all(p.data is parts[0].data for p in parts):
+            # The columns of one block are views of its one buffer: keep it.
+            return cls(parts[0].data, np.concatenate([p.starts for p in parts]), lengths, texts)
         offsets = np.cumsum([0] + [p.data.size for p in parts[:-1]])
-        return cls(
-            np.concatenate([p.data for p in parts]),
-            np.concatenate([p.starts + at for p, at in zip(parts, offsets)]),
-            np.concatenate([p.lengths for p in parts]),
-            None if parts[0].texts is None else [t for p in parts for t in p.texts],
-        )
+        starts = np.concatenate([p.starts + at for p, at in zip(parts, offsets)])
+        return cls(np.concatenate([p.data for p in parts]), starts, lengths, texts)
 
     def __len__(self) -> int:
         return len(self.lengths)

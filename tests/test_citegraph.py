@@ -234,6 +234,17 @@ class TestParseEdges:
         with pytest.raises(IngestError, match="e.csv: line 3: missing citing id"):
             _edge_rows(path)
 
+    def test_joined_columns_keep_the_block_buffer(self, tmp_path):
+        """Joining the two columns of one byte-read block reads the same
+        fields, from the block's own buffer rather than a copy of it."""
+        path = _write(tmp_path, "e.csv", "citing,cited\np1,p22\n p333 ,p4\r\np5,p6\n")
+        (block,) = citegraph._blocks(path, citegraph.EDGE_HEADER)
+        citing, cited = block.columns
+        assert citing.data is cited.data
+        joined = citegraph._Fields.join([citing, cited])
+        assert joined.data is citing.data
+        assert list(joined) == [*citing, *cited] == ["p1", "p333", "p5", "p22", "p4", "p6"]
+
     def test_lone_carriage_returns_end_lines(self, tmp_path):
         path = _write(tmp_path, "e.csv", "citing,cited\rp1,p2\rp2,p3\r")
         assert _edge_rows(path) == [("p1", "p2", 2), ("p2", "p3", 3)]

@@ -7,7 +7,10 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -20,6 +23,9 @@ from hypothesis import strategies as st
 from citeflow import dependence
 from citeflow.cli import _field_table, _number_column, _write_gathered, _write_table, main
 from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read(path: Path) -> str:
@@ -663,3 +669,28 @@ class TestSynth:
         assert {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
         } == digests
+
+
+class TestStartup:
+    @pytest.mark.parametrize("given, expected", [(None, "4"), ("30", "30")])
+    def test_openblas_timeout_is_set_before_numpy_loads(self, given, expected):
+        """In a fresh interpreter, numpy's first import sees citeflow's
+        OpenBLAS thread timeout, or the caller's own value."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if given is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = given
+        env["PYTHONPATH"] = str(ROOT / "src")
+        script = (
+            "import os, sys\n"
+            "seen = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+            "        seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.addaudithook(hook)\n"
+            "import citeflow.cli\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([expected])
