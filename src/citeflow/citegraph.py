@@ -889,6 +889,15 @@ def build_graph(
     return graph_from_indices(ids, nodes.time_keys, citing, cited, nodes.id_table)
 
 
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in the sorted
+    array ``ordered``: a sort and this mask, not ``np.unique``, which
+    hashes int64 keys and is several times slower."""
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
 def graph_from_indices(
     ids: tuple[str, ...], time_keys, citing, cited, id_table: IdTable | None = None
 ) -> tuple[CitationGraph, IngestReport]:
@@ -904,16 +913,14 @@ def graph_from_indices(
     tkey = np.array(time_keys, dtype=np.int64)
     keep = tkey[citing] > tkey[cited]
     edges_read = int(keep.size)
-    # Sorted, so CSR rows and columns come out ordered. A sort and a mask,
-    # not np.unique, which hashes int64 keys and is several times slower.
+    # Sorted, so CSR rows and columns come out ordered.
     key = citing[keep]
     key *= n
     key += cited[keep]
     del keep
     key.sort()
     synchronous = edges_read - int(key.size)
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = run_starts(key)
     unique = key[first]
     duplicates = int(key.size - unique.size)
     del key, first

@@ -243,31 +243,43 @@ def _svg_text(contrib: analytics.OrderContributions) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    """Run the full pipeline and write its artifacts into the output dir.
+def _publish(out_dir: Path, write) -> list[str]:
+    """Call ``write`` on a fresh staging directory inside ``out_dir``, then
+    move the files whose names it returns into ``out_dir``.
 
-    ``args`` holds the parsed ``compute`` options. The files are
-    written into a temporary directory inside ``args.out`` and moved
-    into place only when all of them are written; order files
-    (``M_<i>.csv``) that an earlier run left beyond this run's orders
-    are then removed. A failed run leaves the output directory as it
-    was. Files that compute does not write are kept.
+    The files move only when all of them are written, and only if none of
+    their names is a directory in ``out_dir``, so a failed run leaves the
+    output directory as it was. Files that ``write`` does not name are kept.
     """
-    started = time.perf_counter()
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
     staging = Path(tempfile.mkdtemp(prefix=".citeflow-", dir=out_dir))
     try:
-        names = _write_results(args, staging)
+        names = write(staging)
+        for name in names:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(f"output {out_dir / name} is a directory")
         for name in names:
             os.replace(staging / name, out_dir / name)
-        for stale in out_dir.iterdir():
-            if _ORDER_FILE.fullmatch(stale.name) and stale.name not in names:
-                stale.unlink()
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    return names
+
+
+def cmd_compute(args: argparse.Namespace) -> int:
+    """Run the full pipeline and write its artifacts into the output dir.
+
+    ``args`` holds the parsed ``compute`` options. The files are staged
+    with ``_publish``; order files (``M_<i>.csv``) that an earlier run
+    left beyond this run's orders are then removed.
+    """
+    started = time.perf_counter()
+    out_dir = Path(args.out)
+    names = _publish(out_dir, lambda staging: _write_results(args, staging))
+    for stale in out_dir.iterdir():
+        if _ORDER_FILE.fullmatch(stale.name) and stale.name not in names:
+            stale.unlink()
     elapsed = time.perf_counter() - started
     _log(f"wrote {len(names)} files to {out_dir} in {elapsed:.2f}s")
     return 0
@@ -373,16 +385,27 @@ def _write_results(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
-    """Generate a synthetic dataset as the three input CSV files."""
+    """Generate a synthetic dataset as the three input CSV files, staged
+    with ``_publish`` like ``compute``'s."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    seconds = []
     # An infeasible edge target is a warning in the stage log, not a
     # traceback when warnings are errors.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        graph, membership = refkit.random_dag(spec)
+        graph, membership = refkit.random_dag(spec, seconds)
     for warning in caught:
         _log(f"warning: {warning.message}")
+    started = time.perf_counter()
+    _publish(out, lambda staging: _write_synth(graph, membership, staging))
+    seconds.append(time.perf_counter() - started)
+    _log("synth: edges {:.3f} s, membership {:.3f} s, write {:.3f} s".format(*seconds))
+    _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
+    return 0
+
+
+def _write_synth(graph, membership, out: Path) -> list[str]:
+    """Write the three input tables into ``out``; return their names."""
     ids = _field_table(graph.node_ids)
     years, months = np.divmod(graph.time_keys, 12)
     _write_gathered(
@@ -400,8 +423,7 @@ def cmd_synth(spec: refkit.SynthSpec, out_dir) -> int:
         [(ids, rows), (_field_table(membership.labels), membership.indices),
          _number_column(membership.data)],
     )
-    _log(f"synthesized n={graph.n} m={graph.m} k={membership.k} into {out}")
-    return 0
+    return ["nodes.csv", "edges.csv", "membership.csv"]
 
 
 def _positive_int(value: str) -> int:

@@ -11,6 +11,7 @@ communities that ``compute`` writes.
 from __future__ import annotations
 
 import math
+import time
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .citegraph import (
     PubTime,
     graph_from_indices,
     membership_from_indices,
+    run_starts,
 )
 
 PROPOSAL_FACTOR = 30
@@ -78,7 +80,9 @@ class SynthSpec:
             raise ValueError("seed must fit in 64 bits")
 
 
-def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
+def random_dag(
+    spec: SynthSpec, seconds: list | None = None
+) -> tuple[CitationGraph, Membership]:
     """Seeded random citation DAG plus a fractional classification.
 
     Node times are drawn from ``month_span`` month buckets; edge
@@ -87,15 +91,21 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     one discipline, or with probability 0.2 fractionally to two.
     Everything is driven by one seeded generator and reproduces bit for
     bit. If the edge target is infeasible within the proposal budget,
-    fewer edges are returned with a warning.
+    fewer edges are returned with a warning. The seconds that drawing the
+    edges and the membership took are appended to ``seconds``, if given.
     """
+    started = time.perf_counter()
     rng = np.random.default_rng(spec.seed)
     width = max(len(str(spec.n)), 1)
     ids = tuple(map(f"p%0{width}d".__mod__, range(1, spec.n + 1)))
     buckets = rng.integers(0, spec.month_span, size=spec.n)
 
-    # Each batch adds its new pairs in proposal order, as if they were
-    # taken one by one, until the edge target is met.
+    # Each batch adds, in proposal order, the first ``need`` keys that
+    # ``chosen`` lacks, as if its pairs were taken one by one; only the set
+    # added counts. A key's first row in a prefix of the batch is its first
+    # row in the whole batch, so only a prefix is oriented and looked up:
+    # from a little above ``need`` rows, doubled until it holds ``need``
+    # fresh keys.
     chosen = np.empty(0, dtype=np.int64)  # sorted keys u * n + v
     budget = PROPOSAL_FACTOR * spec.target_m
     proposed = 0
@@ -103,15 +113,26 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
         batch = int(min(max(4096, spec.target_m), budget - proposed))
         pairs = rng.integers(0, spec.n, size=(batch, 2))
         proposed += batch
-        bu = buckets[pairs[:, 0]]
-        bv = buckets[pairs[:, 1]]
-        distinct = bu != bv
-        oriented = np.where((bu > bv)[:, None], pairs, pairs[:, ::-1])[distinct]
-        key = oriented[:, 0] * spec.n + oriented[:, 1]
-        unique, first = np.unique(key, return_index=True)
-        fresh = np.sort(first[~np.isin(unique, chosen, assume_unique=True)])
-        new = key[fresh[: spec.target_m - chosen.size]]
+        need = spec.target_m - chosen.size
+        rows = need + need // 16 + 64
+        while True:
+            u, v = pairs[:rows].T
+            bu, bv = buckets[u], buckets[v]
+            later = bu > bv
+            new = (np.where(later, u, v) * spec.n + np.where(later, v, u))[bu != bv]
+            if rows >= batch and new.size <= need:  # every fresh key is taken
+                break
+            order = np.argsort(new, kind="stable")
+            first = order[run_starts(new[order])]  # each key's first row
+            seen = new[first]
+            fresh = np.searchsorted(chosen, seen) == np.searchsorted(chosen, seen, "right")
+            fresh = np.sort(first[fresh])
+            if fresh.size >= need or rows >= batch:
+                new = new[fresh[:need]]
+                break
+            rows *= 2
         chosen = np.sort(np.concatenate([chosen, new]))
+        chosen = chosen[run_starts(chosen)]
     if chosen.size < spec.target_m:
         _warnings.warn(
             f"edge target {spec.target_m} infeasible within the proposal budget; "
@@ -124,6 +145,7 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
         chosen // spec.n,
         chosen % spec.n,
     )
+    drawn = time.perf_counter()
 
     labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
     two_way = (rng.random(spec.n) < 0.2) & (spec.k > 1)
@@ -134,4 +156,7 @@ def random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
     rows = np.concatenate([np.arange(spec.n), np.arange(spec.n)[two_way]])
     cols = np.concatenate([primary, alt[two_way]])
     data = np.concatenate([np.where(two_way, split, 1.0), (1.0 - split)[two_way]])
-    return graph, membership_from_indices(spec.n, labels, rows, cols, data)[0]
+    membership = membership_from_indices(spec.n, labels, rows, cols, data)[0]
+    if seconds is not None:
+        seconds += [drawn - started, time.perf_counter() - drawn]
+    return graph, membership

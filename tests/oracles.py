@@ -2,17 +2,19 @@
 
 The oracles recompute engine quantities by entirely different means:
 exact rational path enumeration, dense triangular inversion, the heap
-topological order, brute-force partition search, and the full-operator
-iteration with scipy's sparse products. Guards are hard errors rather
-than silent truncation, so an oracle never returns an approximation.
-These are correctness tools, not performance paths; no command runs
-them.
+topological order, brute-force partition search, the full-operator
+iteration with scipy's sparse products, and a synthetic generator that
+orients and looks up every proposal of each batch. Guards are hard
+errors rather than silent truncation, so an oracle never returns an
+approximation. These are correctness tools, not performance paths; no
+command runs them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,12 @@ from citeflow import (
     CiteflowError,
     DisciplineNetwork,
     InternalInvariantError,
+    Membership,
+    PubTime,
+    SynthSpec,
 )
+from citeflow.citegraph import graph_from_indices, membership_from_indices
+from citeflow.refkit import PROPOSAL_FACTOR
 from conftest import as_scipy
 
 PATH_GUARD = 10**6
@@ -286,3 +293,53 @@ def _source_dependence(op, membership):
         coo = increment.tocoo()
         total[coo.row, coo.col] += coo.data
     return total
+
+
+def batch_random_dag(spec: SynthSpec) -> tuple[CitationGraph, Membership]:
+    """``random_dag`` as each batch once did all of its proposals: every
+    pair is oriented, ``np.unique`` finds each key's first proposal and
+    ``np.isin`` drops the keys already chosen. The draws are the same."""
+    rng = np.random.default_rng(spec.seed)
+    width = max(len(str(spec.n)), 1)
+    ids = tuple(map(f"p%0{width}d".__mod__, range(1, spec.n + 1)))
+    buckets = rng.integers(0, spec.month_span, size=spec.n)
+
+    chosen = np.empty(0, dtype=np.int64)  # sorted keys u * n + v
+    budget = PROPOSAL_FACTOR * spec.target_m
+    proposed = 0
+    while chosen.size < spec.target_m and proposed < budget:
+        batch = int(min(max(4096, spec.target_m), budget - proposed))
+        pairs = rng.integers(0, spec.n, size=(batch, 2))
+        proposed += batch
+        bu = buckets[pairs[:, 0]]
+        bv = buckets[pairs[:, 1]]
+        distinct = bu != bv
+        oriented = np.where((bu > bv)[:, None], pairs, pairs[:, ::-1])[distinct]
+        key = oriented[:, 0] * spec.n + oriented[:, 1]
+        unique, first = np.unique(key, return_index=True)
+        fresh = np.sort(first[~np.isin(unique, chosen, assume_unique=True)])
+        new = key[fresh[: spec.target_m - chosen.size]]
+        chosen = np.sort(np.concatenate([chosen, new]))
+    if chosen.size < spec.target_m:
+        warnings.warn(
+            f"edge target {spec.target_m} infeasible within the proposal budget; "
+            f"generated {chosen.size} edges",
+            stacklevel=2,
+        )
+    graph, _ = graph_from_indices(
+        ids,
+        PubTime(2000, 1).key() + buckets,
+        chosen // spec.n,
+        chosen % spec.n,
+    )
+
+    labels = tuple(f"d{j + 1:02d}" for j in range(spec.k))
+    two_way = (rng.random(spec.n) < 0.2) & (spec.k > 1)
+    primary = rng.integers(0, spec.k, size=spec.n)
+    alt = rng.integers(0, max(spec.k - 1, 1), size=spec.n)
+    alt = alt + (alt >= primary)
+    split = rng.integers(1, 10, size=spec.n) / 10.0
+    rows = np.concatenate([np.arange(spec.n), np.arange(spec.n)[two_way]])
+    cols = np.concatenate([primary, alt[two_way]])
+    data = np.concatenate([np.where(two_way, split, 1.0), (1.0 - split)[two_way]])
+    return graph, membership_from_indices(spec.n, labels, rows, cols, data)[0]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeflow import dependence
+from citeflow import cli, dependence
 from citeflow.cli import _field_table, _number_column, _write_gathered, _write_table, main
 from conftest import EDGES_CSV, MEMBERSHIP_CSV, MUTATIONS, NODES_CSV, mutate_line
 
@@ -613,6 +613,53 @@ class TestSynth:
         )
         assert code == 0
         assert (tmp_path / "result" / "F.csv").exists()
+
+    def test_failed_write_leaves_earlier_out(self, tmp_path, monkeypatch):
+        out = tmp_path / "synth"
+        args = ["synth", "--n", "300", "--m", "1200", "--k", "3", "--out", str(out)]
+        assert main([*args, "--seed", "1"]) == 0
+        before = _tree_bytes(out)
+        write = cli._write_gathered
+
+        def fail_on_membership(path, header, columns):
+            if path.name == "membership.csv":
+                raise OSError(28, "No space left on device")
+            write(path, header, columns)
+
+        monkeypatch.setattr(cli, "_write_gathered", fail_on_membership)
+        assert main([*args, "--seed", "2"]) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .citeflow-*
+        assert sorted(before) == ["edges.csv", "membership.csv", "nodes.csv"]
+        assert _tree_bytes(out) == before
+
+    def test_directory_in_the_way_leaves_earlier_out(self, tmp_path):
+        out = tmp_path / "synth"
+        args = ["synth", "--n", "300", "--m", "1200", "--k", "3", "--out", str(out)]
+        assert main([*args, "--seed", "1"]) == 0
+        (out / "membership.csv").unlink()
+        (out / "membership.csv").mkdir()
+
+        def snapshot():
+            return {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+
+        before = snapshot()
+        assert main([*args, "--seed", "2"]) == 2
+        assert snapshot() == before
+
+    def test_logs_its_stages_under_warnings_as_errors(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c",
+             "from citeflow.cli import entry; entry()", "synth", "--n", "300",
+             "--m", "1200", "--k", "3", "--seed", "1", "--out", str(tmp_path / "s")],
+            capture_output=True, text=True, cwd=ROOT, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        number = r"[0-9]+\.[0-9]{3}"
+        stage = rf"edges {number} s, membership {number} s, write {number} s"
+        assert re.fullmatch(rf"\[citeflow\] synth: {stage}", lines[-2]), proc.stderr
+        assert lines[-1].startswith("[citeflow] synthesized n=300 m=1200 k=3 into ")
 
     @pytest.mark.parametrize(
         ("flags", "infeasible", "digests"),

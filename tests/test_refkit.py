@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeflow import (
@@ -27,6 +27,7 @@ from citeflow import (
 from conftest import FIX7_P_ROW1, as_scipy, id_index
 from oracles import (
     OracleGuardError,
+    batch_random_dag,
     dense_dependence,
     enumerate_dependence_row,
     enumerate_path_dependence,
@@ -216,7 +217,8 @@ class TestRandomDagOracle:
     """``random_dag`` assembles its graph and its membership from index
     arrays. The graph oracle spells the generated pairs as id strings and
     builds the graph from them with ``build_graph``, and the membership
-    oracle lays out the drawn entries, as the generator itself once did."""
+    oracle lays out the drawn entries, as the generator itself once did.
+    The batch oracle draws alike but looks up every proposal of a batch."""
 
     @given(_synth_specs())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -253,3 +255,26 @@ class TestRandomDagOracle:
         assert report.duplicate_edges_discarded == 0
         if not caught:
             assert graph.m == spec.target_m
+
+    @given(_synth_specs())
+    @example(SynthSpec(n=3000, target_m=1200, k=3, seed=1))  # round 1 keeps a prefix
+    @example(SynthSpec(n=60, target_m=1700, k=3, seed=1, month_span=60))  # prefix doubles
+    @example(SynthSpec(n=10, target_m=20, k=2, seed=1, month_span=1))  # budget runs out
+    @example(SynthSpec(n=12500, target_m=250000, k=30, seed=1, month_span=120))  # deep
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_batch_generator(self, spec):
+        """Looking up only a prefix of each batch keeps the pairs that
+        looking up the whole batch keeps, and leaves the generator where the
+        membership draws find it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            graph, membership = random_dag(spec)
+            oracle, oracle_membership = batch_random_dag(spec)
+        messages = [str(w.message) for w in caught]
+        assert messages in ([], messages[:1] * 2)
+        assert graph.node_ids == oracle.node_ids
+        for name in ("indptr", "indices", "time_keys"):
+            assert getattr(graph, name).tobytes() == getattr(oracle, name).tobytes()
+        for name in ("indptr", "indices", "data"):
+            assert (getattr(membership, name).tobytes()
+                    == getattr(oracle_membership, name).tobytes())
