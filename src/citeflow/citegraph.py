@@ -50,6 +50,8 @@ from itertools import chain
 
 import numpy as np
 
+from ._sparsetools import csr_row_index, csr_tocsc
+
 UNCLASSIFIED = "__unclassified__"
 # Largest year magnitude whose month key (``PubTime.key``) fits in int64.
 MAX_YEAR = 2**63 // 12 - 1
@@ -181,30 +183,41 @@ class CitationGraph:
     def heights(self) -> np.ndarray:
         """Length of the longest path that starts at each publication.
 
-        Computed once, by frontier steps over the edges. It starts from
-        all edges, and each step keeps the edges whose cited end still
-        begins a path, that is, still cites through a kept edge. After t
-        steps an edge is kept exactly when a path of t more edges starts
-        at its cited end, so the citing ends of the edges left after t
-        steps are the publications of height t + 1 or more; each step
-        adds one to the height of the citing ends it finds.
+        Computed once, by peeling a reverse frontier over the transposed
+        edges. The sinks, height 0, are the first frontier. Each step
+        gathers the citers of the frontier, sorted, and takes from each
+        its count of citations just resolved; the citers left with none
+        unresolved form the next frontier, one level higher. That is
+        L + 1 steps for a longest path of L, and each edge is visited once.
 
         Raises:
-            InternalInvariantError: a step drops no edge, so the edges
-                contain a cycle.
+            InternalInvariantError: some publication is never reached,
+                so the edges contain a cycle.
         """
-        citing = np.repeat(np.arange(self.n), self.outdegree)
-        cited = self.indices
-        begins = np.zeros(self.n, dtype=bool)
-        heights = np.zeros(self.n, dtype=np.int64)
-        while cited.size:
-            begins[:] = False
-            begins[citing] = True
-            heights += begins
-            keep = begins[cited]
-            if keep.all():
-                raise InternalInvariantError("cycle detected in citation graph")
-            citing, cited = citing[keep], cited[keep]
+        n = self.n
+        # The kernels carry a data array along; one byte an entry here.
+        flags = np.zeros(self.m, dtype=bool)
+        citers_ptr = np.empty(n + 1, dtype=self.indptr.dtype)
+        citers = np.empty_like(self.indices)
+        csr_tocsc(n, n, self.indptr, self.indices, flags, citers_ptr, citers, flags.copy())
+        unresolved = self.outdegree
+        heights = np.full(n, -1, dtype=np.int64)
+        frontier = np.flatnonzero(unresolved == 0)
+        level = 0
+        while frontier.size:
+            heights[frontier] = level
+            size = int((citers_ptr[frontier + 1] - citers_ptr[frontier]).sum())
+            found = np.empty(size, dtype=citers.dtype)
+            csr_row_index(frontier.size, frontier, citers_ptr, citers, flags,
+                          found, np.empty(size, dtype=bool))
+            found.sort()
+            starts = np.flatnonzero(run_starts(found))
+            found = found[starts]
+            unresolved[found] -= np.diff(starts, append=size)
+            frontier = found[unresolved[found] == 0]
+            level += 1
+        if (heights < 0).any():
+            raise InternalInvariantError("cycle detected in citation graph")
         heights.setflags(write=False)
         return heights
 

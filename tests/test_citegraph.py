@@ -639,9 +639,30 @@ class TestLongestPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # infeasible targets
             graph, _ = random_dag(spec)
-        assert longest_path_length(graph) == _heap_order_dp(graph)
-        assert graph.heights.tolist() == _heap_order_heights(graph).tolist()
-        assert build_operator(graph).order_bound == int(graph.heights.max())
+        # The same publications and citations from a shuffled nodes table,
+        # so that the publication index, the id order and the month order
+        # all differ; the same citations within a single month, all
+        # synchronous; and a chain through the original index order.
+        shuffle = np.random.default_rng(seed).permutation(n)
+        ids = tuple(graph.node_ids[i] for i in shuffle)
+        citing = np.repeat(np.arange(n), graph.outdegree)
+        edges = EdgeTable.from_pairs(
+            (graph.node_ids[a], graph.node_ids[b]) for a, b in zip(citing, graph.indices)
+        )
+        shuffled, _ = build_graph(NodeTable(ids, graph.time_keys[shuffle]), [edges])
+        one_month, _ = build_graph(NodeTable(ids, np.zeros(n, dtype=np.int64)), [edges])
+        chain, _ = build_graph(
+            NodeTable(ids, n - shuffle),
+            [EdgeTable.from_pairs(zip(graph.node_ids[:-1], graph.node_ids[1:]))],
+        )
+        for each in (graph, shuffled, one_month, chain):
+            assert longest_path_length(each) == _heap_order_dp(each)
+            assert each.heights.tolist() == _heap_order_heights(each).tolist()
+            assert build_operator(each).order_bound == int(each.heights.max())
+        assert shuffled.m == graph.m
+        assert shuffled.heights.tolist() == graph.heights[shuffle].tolist()
+        assert one_month.m == 0 and not one_month.heights.any()
+        assert longest_path_length(chain) == n - 1
 
     def test_heights_are_computed_once(self, fix7_graph):
         assert longest_path_length(fix7_graph) == FIX7_LONGEST

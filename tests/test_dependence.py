@@ -537,6 +537,60 @@ class TestHeightOrderedIteration:
         assert edge_work(op, 3) == 15
         assert edge_work(op, 1) == fix7_graph.m
 
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_lazy_compaction_is_exact_and_bounded(self, seed):
+        # Longest path about 35: the edge copy is filtered only once an
+        # eighth of it has died, and the dead edges read rows set to +0.0.
+        graph, membership = random_dag(
+            SynthSpec(n=2000, target_m=20000, k=3, seed=seed, month_span=60)
+        )
+        op = build_operator(graph)
+        # The Q^T products and filters are told apart by their arrays.
+        transposes, filtered, products = [], [], []
+        real = (dependence._transpose, dependence._filter, dependence.csr_matvecs)
+
+        def on_qt(data):
+            return any(np.may_share_memory(data, qt) for qt in transposes)
+
+        def transpose(csr):
+            out = real[0](csr)
+            transposes.append(out[2])
+            return out
+
+        def filter_(csr, rows, columns):
+            if not on_qt(csr[2]):
+                filtered.append(rows)
+            return real[1](csr, rows, columns)
+
+        def matvecs(n_row, n_col, width, Ap, Aj, Ax, Xx, Yx):
+            if not on_qt(Ax):
+                products.append(len(Aj))
+            real[2](n_row, n_col, width, Ap, Aj, Ax, Xx, Yx)
+
+        with mock.patch.object(dependence, "_transpose", transpose), \
+                mock.patch.object(dependence, "_filter", filter_), \
+                mock.patch.object(dependence, "csr_matvecs", matvecs):
+            decomp = flow_decomposition(op, membership)
+        (orders,) = decomp.group_orders
+        assert orders == op.order_bound > 30
+        work = edge_work(op, orders)
+        assert work <= sum(products) <= 8 / 7 * work
+        assert 0 < len(filtered) < orders  # skipped at some orders, not all
+
+        q = as_scipy(membership)
+        flows, total, r = _full_flows(op, q, orders)
+        stack_want = _full_stack(op, q, orders)
+        for rows in (1, 2, 7):
+            for columns in (1, 2):
+                with _group_rows(rows, columns), _group_columns(columns):
+                    decomp = flow_decomposition(op, membership)
+                    stack = dependence_stack(op, membership)
+                for got, want in zip((decomp.identity_flow, *decomp.order_flows), flows):
+                    assert got.tobytes() == want.tobytes()
+                assert decomp.total.tobytes() == total.tobytes()
+                assert decomp.r.tobytes() == r.tobytes()
+                assert stack.tobytes() == stack_want.tobytes()
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_group_orders_count_the_order_that_turned_zero(self, seed):
         # With one column per group, group c computes one order for each
